@@ -10,107 +10,3 @@ fractional Gaussian noise provides the validation oracle.
 """
 
 __version__ = "0.1.0"
-
-from .detrend import (
-    DmaConfig,
-    Estimator,
-    FluctuationFunction,
-    ScaleGrid,
-    default_scales,
-    dfa_fluctuation,
-    dma_fluctuation,
-    fluctuation,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateInputError,
-    EstimationError,
-    FormatError,
-    InsufficientDataError,
-    ScaleRangeError,
-    SynthesisError,
-    WfeError,
-)
-from .rolling import WindowResult, rolling_analysis, window_result
-from .scaling import (
-    ExponentRelations,
-    ScalingFit,
-    detect_scaling_range,
-    exponent_relations,
-    fit_power_law,
-    scan_windows,
-)
-from .shuffletest import (
-    DEFAULT_SEED,
-    SIGNIFICANCE_LEVEL,
-    ShuffleTestResult,
-    efficiency_test,
-    shuffle,
-    two_tailed_p,
-)
-from .synth import FgnSpec, fgn_autocovariance, generate_fgn, synthetic_prices
-from .timeseries import (
-    GULF_WAR,
-    IRAQ_WAR,
-    NAFTA,
-    LoadedPrices,
-    PriceSeries,
-    Profile,
-    ReturnSeries,
-    load_prices,
-    log_returns,
-    profile,
-    split_by_dates,
-)
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "DataError",
-    "DegenerateInputError",
-    "EstimationError",
-    "FormatError",
-    "InsufficientDataError",
-    "ScaleRangeError",
-    "SynthesisError",
-    "WfeError",
-    "GULF_WAR",
-    "IRAQ_WAR",
-    "NAFTA",
-    "LoadedPrices",
-    "PriceSeries",
-    "ReturnSeries",
-    "Profile",
-    "load_prices",
-    "log_returns",
-    "profile",
-    "split_by_dates",
-    "DmaConfig",
-    "Estimator",
-    "FluctuationFunction",
-    "ScaleGrid",
-    "default_scales",
-    "dfa_fluctuation",
-    "dma_fluctuation",
-    "fluctuation",
-    "ExponentRelations",
-    "ScalingFit",
-    "detect_scaling_range",
-    "exponent_relations",
-    "fit_power_law",
-    "scan_windows",
-    "DEFAULT_SEED",
-    "SIGNIFICANCE_LEVEL",
-    "ShuffleTestResult",
-    "efficiency_test",
-    "shuffle",
-    "two_tailed_p",
-    "FgnSpec",
-    "fgn_autocovariance",
-    "generate_fgn",
-    "synthetic_prices",
-    "WindowResult",
-    "rolling_analysis",
-    "window_result",
-]

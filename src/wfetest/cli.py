@@ -21,16 +21,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .detrend import Estimator, default_scales, fluctuation
+from .detrend import Estimator, default_scales
 from .errors import ConfigError, WfeError
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
-from .scaling import (
-    DEFAULT_FIT_WINDOW,
-    detect_scaling_range,
-    exponent_relations,
-    fit_power_law,
-)
-from .shuffletest import DEFAULT_SEED, RANGE_POLICIES, efficiency_test
+from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, estimate, exponent_relations
+from .shuffletest import DEFAULT_SEED, efficiency_test
 from .synth import FgnSpec, generate_fgn, synthetic_prices
 from .timeseries import (
     GULF_WAR,
@@ -185,12 +180,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     r = log_returns(series)
     y = profile(r)
     grid = default_scales(y.n, args.points_per_decade)
-    f = fluctuation(y, grid, est)
-    if args.range_policy == "auto":
-        s_range = detect_scaling_range(f, args.window_len)
-    else:
-        s_range = (int(grid.scales[0]), int(grid.scales[-1]))
-    fit = fit_power_law(f, s_range)
+    f, fit = estimate(y, grid, est, args.range_policy, args.window_len)
     rel = exponent_relations(fit.h)
 
     config = _config_dict(args)
@@ -288,7 +278,7 @@ def cmd_rolling(args: argparse.Namespace) -> int:
             print(file=sys.stderr)
 
     results = rolling_analysis(
-        series,
+        log_returns(series),
         window_size=args.window,
         step=args.step,
         est=est,

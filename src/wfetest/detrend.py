@@ -60,17 +60,6 @@ class ScaleGrid:
 
 
 @dataclass(frozen=True)
-class DmaConfig:
-    """Moving-average position parameter theta in [0, 1]."""
-
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise DataError(f"theta must be in [0, 1], got {self.theta}")
-
-
-@dataclass(frozen=True)
 class FluctuationFunction:
     """Paired (s, F(s)) samples with the method tag and source length."""
 
@@ -136,10 +125,6 @@ class Estimator:
             named = {0.0: "BDMA", 0.5: "CDMA", 1.0: "FDMA"}
             return named.get(self.theta, f"DMA(theta={self.theta:g})")
         return "DFA" if self.order == 1 else f"DFA({self.order})"
-
-    @property
-    def min_scale(self) -> int:
-        return DMA_MIN_SCALE if self.kind == "dma" else self.order + 2
 
     def fluctuation_matrix(self, profiles: np.ndarray, scales: np.ndarray) -> np.ndarray:
         if self.kind == "dma":
@@ -266,18 +251,6 @@ def _check_scales(scales: np.ndarray, n: int, min_scale: int) -> None:
         raise ScaleRangeError(
             f"scale {int(scales[-1])} exceeds series length {n}"
         )
-
-
-def dma_fluctuation(y: Profile, grid: ScaleGrid, cfg: DmaConfig) -> FluctuationFunction:
-    """DMA fluctuation function of a single profile."""
-    f = dma_fluctuation_matrix(y.values, grid.scales, cfg.theta)[0]
-    return FluctuationFunction(grid.scales, f, Estimator.dma(cfg.theta).tag, y.n)
-
-
-def dfa_fluctuation(y: Profile, grid: ScaleGrid, order: int = 1) -> FluctuationFunction:
-    """DFA fluctuation function of a single profile."""
-    f = dfa_fluctuation_matrix(y.values, grid.scales, order)[0]
-    return FluctuationFunction(grid.scales, f, Estimator.dfa(order).tag, y.n)
 
 
 def fluctuation(y: Profile, grid: ScaleGrid, est: Estimator) -> FluctuationFunction:

@@ -15,8 +15,8 @@ leaves all earlier-ending windows unchanged.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,11 +24,8 @@ import numpy as np
 from .detrend import Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, DataError, InsufficientDataError
 from .scaling import DEFAULT_FIT_WINDOW
-from .shuffletest import DEFAULT_SEED, efficiency_test
-from .timeseries import PriceSeries, ReturnSeries, log_returns
-
-# selected ranges entirely below this scale tend to sit on a crossover
-LOW_RANGE_SCALE = 50
+from .shuffletest import DEFAULT_SEED, _ordered_map, efficiency_test
+from .timeseries import ReturnSeries
 
 WINDOW_CSV_HEADER = "end_date,H,q025,q975,flag,s_lo,s_hi"
 
@@ -62,15 +59,6 @@ class WindowResult:
     @property
     def outside(self) -> bool:
         return self.flag != "inside"
-
-    @property
-    def low_scale_range(self) -> bool:
-        """True when the selected range sits entirely below s = 50.
-
-        Such windows usually straddle a crossover in F(s) and their H is
-        a short-scale artifact; downstream plots may want to mark them.
-        """
-        return self.s_hi < LOW_RANGE_SCALE
 
     def csv_row(self) -> str:
         return (
@@ -135,15 +123,8 @@ def window_result(
     )
 
 
-def _window_job(args) -> WindowResult:
-    r, start, window_size, est, grid, window_len, n_shuffles, seed = args
-    return window_result(
-        r, start, window_size, est, grid, window_len, n_shuffles, seed
-    )
-
-
 def rolling_analysis(
-    p: PriceSeries,
+    r: ReturnSeries,
     window_size: int = 1000,
     step: int = 1,
     est: Estimator = Estimator.dfa(),
@@ -168,7 +149,6 @@ def rolling_analysis(
         grid = default_scales(window_size)
     except InsufficientDataError as exc:
         raise ConfigError(f"window_size {window_size} too small: {exc}") from exc
-    r = log_returns(p)
     if len(r.values) < window_size:
         raise ConfigError(
             f"series has {len(r.values)} returns, fewer than the window "
@@ -176,20 +156,13 @@ def rolling_analysis(
         )
 
     starts = range(0, len(r.values) - window_size + 1, step)
-    jobs = [
-        (r, start, window_size, est, grid, window_len, n_shuffles, seed)
-        for start in starts
-    ]
+    job = partial(
+        window_result, r, window_size=window_size, est=est, grid=grid,
+        window_len=window_len, n_shuffles=n_shuffles, seed=seed,
+    )
     results: list[WindowResult] = []
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_window_job, jobs):
-                results.append(res)
-                if progress is not None:
-                    progress(len(results), len(jobs))
-    else:
-        for job in jobs:
-            results.append(_window_job(job))
-            if progress is not None:
-                progress(len(results), len(jobs))
+    for res in _ordered_map(job, starts, workers):
+        results.append(res)
+        if progress is not None:
+            progress(len(results), len(starts))
     return results

@@ -15,10 +15,13 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detrend import FluctuationFunction
+from .detrend import Estimator, FluctuationFunction, ScaleGrid, fluctuation
 from .errors import DataError, DegenerateInputError, InsufficientDataError
+from .timeseries import Profile
 
 DEFAULT_FIT_WINDOW = 15
+
+RANGE_POLICIES = ("full", "auto")
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,28 @@ def detect_scaling_range(
             f"no window of {window_len} consecutive positive-F grid points"
         )
     return int(scan.s_lo[best]), int(scan.s_hi[best])
+
+
+def estimate(
+    y: Profile,
+    grid: ScaleGrid,
+    est: Estimator,
+    range_policy: str = "full",
+    window_len: int = DEFAULT_FIT_WINDOW,
+) -> tuple[FluctuationFunction, ScalingFit]:
+    """Fluctuation function of the profile and its power-law fit.
+
+    ``range_policy`` is ``"full"`` (fit the whole grid) or ``"auto"``
+    (the minimal-residual window of ``window_len`` grid points).
+    """
+    if range_policy not in RANGE_POLICIES:
+        raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
+    f = fluctuation(y, grid, est)
+    if range_policy == "auto":
+        s_range = detect_scaling_range(f, window_len)
+    else:
+        s_range = (int(grid.scales[0]), int(grid.scales[-1]))
+    return f, fit_power_law(f, s_range)
 
 
 def exponent_relations(h: float) -> ExponentRelations:

@@ -22,18 +22,17 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .detrend import Estimator, ScaleGrid, FluctuationFunction, default_scales
+from .detrend import Estimator, ScaleGrid, default_scales
 from .errors import DataError, EstimationError
-from .scaling import DEFAULT_FIT_WINDOW, detect_scaling_range, fit_power_law, slopes_in_range
-from .timeseries import ReturnSeries
+from .scaling import DEFAULT_FIT_WINDOW, estimate, slopes_in_range
+from .timeseries import ReturnSeries, profile
 
 DEFAULT_SEED = 42
 SIGNIFICANCE_LEVEL = 0.01
-
-RANGE_POLICIES = ("full", "auto")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +120,6 @@ def replicate_rng(
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def shuffle(r: ReturnSeries, seed: int | np.random.Generator) -> ReturnSeries:
-    """Uniformly random permutation of the values; dates keep their order."""
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return ReturnSeries(r.dates, rng.permutation(r.values))
-
-
 def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
     """Fraction of the ensemble strictly farther from its mean than h is."""
     e = np.asarray(ensemble, dtype=np.float64)
@@ -137,6 +127,19 @@ def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
         raise DataError("ensemble must be nonempty")
     mean = float(e.mean())
     return float(np.count_nonzero(np.abs(e - mean) > abs(h - mean)) / len(e))
+
+
+def _ordered_map(fn: Callable, jobs: Sequence, workers: int) -> Iterator:
+    """Yield fn(job) for each job in order, on a process pool when workers > 1.
+
+    Results never depend on the worker count; one job or one worker
+    runs in this process.
+    """
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, jobs)
+    else:
+        yield from map(fn, jobs)
 
 
 def _chunk_size(n: int) -> int:
@@ -179,12 +182,7 @@ def shuffle_exponents(
          min(chunk, n_replicates - start))
         for start in range(0, n_replicates, chunk)
     ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_shuffled_slopes_chunk, jobs))
-    else:
-        parts = [_shuffled_slopes_chunk(job) for job in jobs]
-    ensemble = np.concatenate(parts)
+    ensemble = np.concatenate(list(_ordered_map(_shuffled_slopes_chunk, jobs, workers)))
 
     # redraw degenerate replicates from indices past the ensemble
     max_redraws = max(1, n_replicates // 100)
@@ -227,23 +225,12 @@ def efficiency_test(
     ``window_len`` grid points).  Shuffled replicates always reuse the
     original series' scaling range.
     """
-    if range_policy not in RANGE_POLICIES:
-        raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
-    values = np.asarray(r.values, dtype=np.float64)
     if grid is None:
-        grid = default_scales(len(values))
-
-    prof = np.cumsum(values - values.mean())
-    f = est.fluctuation_matrix(prof, grid.scales)[0]
-    ff = FluctuationFunction(grid.scales, f, est.tag, len(values))
-    if range_policy == "auto":
-        s_range = detect_scaling_range(ff, window_len)
-    else:
-        s_range = (int(grid.scales[0]), int(grid.scales[-1]))
-    fit = fit_power_law(ff, s_range)
+        grid = default_scales(len(r.values))
+    _, fit = estimate(profile(r), grid, est, range_policy, window_len)
 
     ensemble, n_redraws = shuffle_exponents(
-        values, est, grid.scales, (fit.s_lo, fit.s_hi), n_replicates,
+        r.values, est, grid.scales, (fit.s_lo, fit.s_hi), n_replicates,
         seed, spawn_prefix, workers,
     )
     q025, q975 = np.quantile(ensemble, [0.025, 0.975], method="linear")

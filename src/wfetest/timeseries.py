@@ -149,7 +149,8 @@ def load_prices(
 ) -> LoadedPrices:
     """Parse ``date,price`` lines into a :class:`PriceSeries`.
 
-    Accepts a path or an open text/byte stream.  Lines starting with
+    Accepts a path or an open text/byte stream; bytes are decoded as
+    UTF-8, and a leading byte-order mark is skipped.  Lines starting with
     ``#`` are ignored (this tool's own artifacts carry such a preamble)
     and one header line is skipped.  Records with missing, non-numeric,
     or non-positive prices are dropped and counted; a line with an
@@ -165,13 +166,16 @@ def load_prices(
         raise FormatError(f"unknown date format {date_format!r} (use 'iso' or 'us')")
 
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(source, "rb") as fh:
+            raw = fh.read()
     else:
         raw = source.read()
-        if isinstance(raw, bytes):
+    if isinstance(raw, bytes):
+        try:
             raw = raw.decode("utf-8")
-        lines = raw.splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"input is not UTF-8 text: {exc}") from exc
+    lines = raw.removeprefix("\ufeff").splitlines()
 
     records: list[tuple[np.datetime64, float]] = []
     dropped = 0
@@ -256,6 +260,9 @@ def split_by_dates(
     cuts = np.array([np.datetime64(c, "D") for c in cut_dates], dtype="datetime64[D]")
     if len(cuts) == 0:
         return [p]
+    if np.any(np.isnat(cuts)):
+        bad = int(np.flatnonzero(np.isnat(cuts))[0])
+        raise DataError(f"cut date {bad + 1} of {len(cuts)} is empty or not a date")
     if not np.all(cuts[1:] > cuts[:-1]):
         raise DataError("cut dates must be strictly increasing")
     if cuts[0] <= p.dates[0] or cuts[-1] >= p.dates[-1]:

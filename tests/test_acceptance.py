@@ -113,9 +113,10 @@ def rolling_windows(
 ) -> tuple[list[WindowResult], np.ndarray]:
     """1000-return DFA windows as ``wfetest rolling`` makes them, and the
     date of each window's first return."""
-    rows = rolling_analysis(prices, window_size=1000, step=step, est=DFA,
+    r = log_returns(prices)
+    rows = rolling_analysis(r, window_size=1000, step=step, est=DFA,
                             n_shuffles=n_shuffles, seed=42)
-    starts = log_returns(prices).dates[::step][: len(rows)]
+    starts = r.dates[::step][: len(rows)]
     return rows, starts
 
 

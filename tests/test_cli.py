@@ -113,6 +113,14 @@ class TestAnalyzeCommand:
                    "-o", tmp_path / "a.csv") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_input_fails_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"date,price\n2020-01-01,10\n2020-01-02,\xff11\n")
+        assert run("analyze", "-i", path, "-o", tmp_path / "a.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input is not UTF-8 text")
+        assert "Traceback" not in err
+
     def test_forced_wrong_date_format_fails(self, tmp_path):
         prices = synth_prices(tmp_path, n=400)
         assert run("analyze", "-i", prices, "--date-format", "us",
@@ -172,10 +180,14 @@ class TestTestCommand:
         assert run("test", "-i", prices, "--subseries", "nafta",
                    "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
 
-    def test_malformed_cuts_fail(self, tmp_path):
+    def test_malformed_cuts_fail(self, tmp_path, capsys):
         prices = synth_prices(tmp_path, n=500)
         assert run("test", "-i", prices, "--cuts", "not-a-date",
                    "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
+        for cuts in ("", "2000-10-01,"):
+            assert run("test", "-i", prices, "--cuts", cuts,
+                       "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
+            assert "is empty or not a date" in capsys.readouterr().err
 
     def test_include_ensemble(self, tmp_path):
         prices = synth_prices(tmp_path, n=500)

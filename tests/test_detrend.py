@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfetest.detrend import (
-    DmaConfig,
     Estimator,
     FluctuationFunction,
     ScaleGrid,
     _window_split,
     default_scales,
-    dfa_fluctuation,
     dfa_fluctuation_matrix,
-    dma_fluctuation,
     dma_fluctuation_matrix,
     fluctuation,
 )
@@ -249,11 +246,6 @@ class TestEstimator:
         assert Estimator.dma(1.0).tag == "FDMA"
         assert Estimator.dma(0.25).tag == "DMA(theta=0.25)"
 
-    def test_min_scale(self):
-        assert Estimator.dma(0.0).min_scale == 3
-        assert Estimator.dfa().min_scale == 3
-        assert Estimator.dfa(2).min_scale == 4
-
     def test_validation(self):
         with pytest.raises(DataError):
             Estimator("spectral")
@@ -262,7 +254,7 @@ class TestEstimator:
         with pytest.raises(DataError):
             Estimator.dfa(0)
         with pytest.raises(DataError):
-            DmaConfig(-0.1)
+            Estimator.dma(-0.1)
 
     def test_dispatch_matches_kernels(self):
         prof = np.cumsum(np.random.default_rng(9).standard_normal(300))
@@ -280,18 +272,16 @@ class TestSingleSeriesWrappers:
         values = np.cumsum(np.random.default_rng(2).standard_normal(400))
         y = Profile(values)
         grid = ScaleGrid(np.array([4, 8, 16, 32]))
-        a = dma_fluctuation(y, grid, DmaConfig(0.5))
+        a = fluctuation(y, grid, Estimator.dma(0.5))
         assert a.method == "CDMA" and a.n == 400
         assert np.array_equal(
             a.f, dma_fluctuation_matrix(values, grid.scales, 0.5)[0]
         )
-        b = dfa_fluctuation(y, grid, order=1)
-        assert b.method == "DFA"
+        b = fluctuation(y, grid, Estimator.dfa(1))
+        assert b.method == "DFA" and b.n == 400
         assert np.array_equal(
             b.f, dfa_fluctuation_matrix(values, grid.scales, 1)[0]
         )
-        c = fluctuation(y, grid, Estimator.dma(0.5))
-        assert np.array_equal(c.f, a.f)
 
     def test_batch_rows_equal_single_rows(self):
         rng = np.random.default_rng(31)

@@ -6,21 +6,20 @@ from hypothesis import strategies as st
 from wfetest.detrend import Estimator, default_scales
 from wfetest.errors import ConfigError, DataError
 from wfetest.rolling import (
-    LOW_RANGE_SCALE,
     WINDOW_CSV_HEADER,
     WindowResult,
     rolling_analysis,
     window_result,
 )
 from wfetest.synth import FgnSpec, generate_fgn, synthetic_prices
-from wfetest.timeseries import PriceSeries, log_returns
+from wfetest.timeseries import log_returns
 
 from conftest import day_range
 
 
-def make_prices(n_returns, hurst=0.5, seed=13, sigma=0.01):
+def make_returns(n_returns, hurst=0.5, seed=13, sigma=0.01):
     vals = generate_fgn(FgnSpec(n=n_returns, hurst=hurst, seed=seed, sigma=sigma))
-    return synthetic_prices(vals)
+    return log_returns(synthetic_prices(vals))
 
 
 class TestWindowResult:
@@ -51,10 +50,6 @@ class TestWindowResult:
         assert not self.make().outside
         assert self.make(h=0.40, flag="below").outside
 
-    def test_low_scale_range_diagnostic(self):
-        assert self.make(s_hi=LOW_RANGE_SCALE - 1).low_scale_range
-        assert not self.make(s_hi=LOW_RANGE_SCALE).low_scale_range
-
     def test_csv_row_matches_header(self):
         row = self.make().csv_row()
         fields = row.split(",")
@@ -67,33 +62,31 @@ class TestWindowResult:
 
 class TestRollingAnalysis:
     def test_window_count_and_order(self):
-        p = make_prices(620)
-        rows = rolling_analysis(p, window_size=250, step=90, n_shuffles=20)
+        r = make_returns(620)
+        rows = rolling_analysis(r, window_size=250, step=90, n_shuffles=20)
         assert len(rows) == (620 - 250) // 90 + 1
         ends = [r.end_date for r in rows]
         assert all(a < b for a, b in zip(ends, ends[1:]))
 
     def test_end_date_is_last_observation(self):
-        p = make_prices(300)
-        r = log_returns(p)
-        rows = rolling_analysis(p, window_size=250, step=25, n_shuffles=10)
+        r = make_returns(300)
+        rows = rolling_analysis(r, window_size=250, step=25, n_shuffles=10)
         for k, row in enumerate(rows):
             assert row.end_date == r.dates[k * 25 + 250 - 1]
 
     def test_selected_range_has_fifteen_grid_points(self):
-        p = make_prices(400)
-        rows = rolling_analysis(p, window_size=400, step=1, n_shuffles=10)
+        r = make_returns(400)
+        rows = rolling_analysis(r, window_size=400, step=1, n_shuffles=10)
         scales = default_scales(400).scales
         row = rows[0]
         count = int(np.sum((scales >= row.s_lo) & (scales <= row.s_hi)))
         assert count == 15
 
     def test_single_window_isolation(self):
-        p = make_prices(430)
+        r = make_returns(430)
         rows = rolling_analysis(
-            p, window_size=250, step=60, n_shuffles=40, seed=5
+            r, window_size=250, step=60, n_shuffles=40, seed=5
         )
-        r = log_returns(p)
         for k, start in enumerate(range(0, len(r.values) - 250 + 1, 60)):
             alone = window_result(
                 r, start, 250, Estimator.dfa(), n_shuffles=40, seed=5
@@ -103,50 +96,51 @@ class TestRollingAnalysis:
     def test_truncation_leaves_early_windows_unchanged(self):
         vals = generate_fgn(FgnSpec(n=520, hurst=0.5, seed=4, sigma=0.01))
         full = rolling_analysis(
-            synthetic_prices(vals), window_size=250, step=60, n_shuffles=30
+            log_returns(synthetic_prices(vals)), window_size=250, step=60,
+            n_shuffles=30,
         )
         short = rolling_analysis(
-            synthetic_prices(vals[:400]), window_size=250, step=60,
-            n_shuffles=30,
+            log_returns(synthetic_prices(vals[:400])), window_size=250,
+            step=60, n_shuffles=30,
         )
         assert len(short) >= 2
         assert short == full[: len(short)]
 
     def test_workers_do_not_change_results(self):
-        p = make_prices(380)
-        a = rolling_analysis(p, window_size=250, step=40, n_shuffles=25)
-        b = rolling_analysis(p, window_size=250, step=40, n_shuffles=25, workers=2)
+        r = make_returns(380)
+        a = rolling_analysis(r, window_size=250, step=40, n_shuffles=25)
+        b = rolling_analysis(r, window_size=250, step=40, n_shuffles=25, workers=2)
         assert a == b
 
     def test_progress_reported(self):
-        p = make_prices(320)
+        r = make_returns(320)
         seen = []
         rolling_analysis(
-            p, window_size=250, step=30, n_shuffles=5,
+            r, window_size=250, step=30, n_shuffles=5,
             progress=lambda done, total: seen.append((done, total)),
         )
         total = (320 - 250) // 30 + 1
         assert seen == [(k, total) for k in range(1, total + 1)]
 
     def test_window_too_small_for_grid(self):
-        p = make_prices(600)
+        r = make_returns(600)
         with pytest.raises(ConfigError):
-            rolling_analysis(p, window_size=249, n_shuffles=5)
+            rolling_analysis(r, window_size=249, n_shuffles=5)
 
     def test_window_exceeding_data(self):
-        p = make_prices(300)
+        r = make_returns(300)
         with pytest.raises(ConfigError):
-            rolling_analysis(p, window_size=301, n_shuffles=5)
+            rolling_analysis(r, window_size=301, n_shuffles=5)
 
     def test_bad_step_and_shuffles(self):
-        p = make_prices(300)
+        r = make_returns(300)
         with pytest.raises(ConfigError):
-            rolling_analysis(p, window_size=250, step=0, n_shuffles=5)
+            rolling_analysis(r, window_size=250, step=0, n_shuffles=5)
         with pytest.raises(ConfigError):
-            rolling_analysis(p, window_size=250, n_shuffles=0)
+            rolling_analysis(r, window_size=250, n_shuffles=0)
 
     def test_window_result_bounds_checked(self):
-        r = log_returns(make_prices(300))
+        r = make_returns(300)
         with pytest.raises(ConfigError):
             window_result(r, 60, 250, Estimator.dfa(), n_shuffles=5)
         with pytest.raises(ConfigError):
@@ -159,9 +153,9 @@ class TestRollingAnalysis:
     )
     def test_window_count_formula(self, extra, step):
         n_returns = 250 + extra
-        p = make_prices(n_returns)
+        r = make_returns(n_returns)
         rows = rolling_analysis(
-            p, window_size=250, step=step, n_shuffles=3
+            r, window_size=250, step=step, n_shuffles=3
         )
         assert len(rows) == (n_returns - 250) // step + 1
 
@@ -173,9 +167,9 @@ class TestCalibration:
         # should contain H in at least 90% of them
         n = 500 + 199 * 500
         vals = generate_fgn(FgnSpec(n=n, hurst=0.5, seed=77, sigma=0.01))
-        p = synthetic_prices(vals)
+        r = log_returns(synthetic_prices(vals))
         rows = rolling_analysis(
-            p, window_size=500, step=500, n_shuffles=1000, seed=42
+            r, window_size=500, step=500, n_shuffles=1000, seed=42
         )
         assert len(rows) == 200
         outside = sum(r.outside for r in rows)

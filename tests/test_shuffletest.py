@@ -13,7 +13,6 @@ from wfetest.shuffletest import (
     _shuffled_slopes_chunk,
     efficiency_test,
     replicate_rng,
-    shuffle,
     shuffle_exponents,
     two_tailed_p,
 )
@@ -55,31 +54,30 @@ class TestTwoTailedP:
 
 
 class TestShuffle:
-    def test_permutes_multiset_keeps_dates(self):
-        r = ReturnSeries(day_range(20), np.arange(20.0))
-        s = shuffle(r, 3)
-        assert sorted(s.values.tolist()) == list(range(20))
-        assert np.array_equal(s.dates, r.dates)
-        assert not np.array_equal(s.values, r.values)
+    """The permutation replicate i draws: ``replicate_rng(seed, i).permutation``."""
+
+    def test_permutes_multiset_keeps_input(self):
+        values = np.arange(20.0)
+        values.setflags(write=False)
+        s = replicate_rng(3, 0).permutation(values)
+        assert sorted(s.tolist()) == list(range(20))
+        assert not np.array_equal(s, values)
+        assert np.array_equal(values, np.arange(20.0))
 
     def test_seed_determinism(self):
-        r = make_returns(200)
-        assert np.array_equal(shuffle(r, 5).values, shuffle(r, 5).values)
-        assert not np.array_equal(shuffle(r, 5).values, shuffle(r, 6).values)
-
-    def test_generator_passthrough(self):
-        r = make_returns(50)
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
-        a = shuffle(r, gen)
-        b = shuffle(r, 5)
-        assert np.array_equal(a.values, b.values)
+        values = make_returns(200).values
+        draw = replicate_rng(5, 0).permutation(values)
+        assert np.array_equal(draw, replicate_rng(5, 0).permutation(values))
+        assert not np.array_equal(draw, replicate_rng(6, 0).permutation(values))
+        assert not np.array_equal(draw, replicate_rng(5, 1).permutation(values))
 
     def test_permutations_uniform(self):
         # all 6 orderings of 3 values should appear ~1000 times in 6000
-        r = ReturnSeries(day_range(3), np.array([0.0, 1.0, 2.0]))
+        # replicates of one base seed, as in an ensemble
+        values = np.array([0.0, 1.0, 2.0])
         counts = dict.fromkeys(permutations((0.0, 1.0, 2.0)), 0)
-        for seed in range(6000):
-            counts[tuple(shuffle(r, seed).values)] += 1
+        for i in range(6000):
+            counts[tuple(replicate_rng(DEFAULT_SEED, i).permutation(values))] += 1
         for perm, count in counts.items():
             assert abs(count / 6000 - 1 / 6) < 0.02, (perm, count)
 

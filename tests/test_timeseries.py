@@ -1,11 +1,13 @@
+import io
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfetest.errors import DataError, FormatError, InsufficientDataError
+from wfetest.errors import DataError, FormatError, InsufficientDataError, WfeError
 from wfetest.timeseries import (
     GULF_WAR,
     IRAQ_WAR,
@@ -20,6 +22,38 @@ from wfetest.timeseries import (
 )
 
 from conftest import day_range
+
+_FUZZ_DATE = st.dates(min_value=date(1900, 1, 1), max_value=date(2099, 12, 31))
+_FUZZ_FIELD = st.one_of(
+    _FUZZ_DATE.map(date.isoformat),
+    _FUZZ_DATE.map(lambda d: d.strftime("%m/%d/%Y")),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+_FUZZ_RECORD = st.builds(
+    "{},{!r}".format, _FUZZ_DATE.map(date.isoformat), st.floats(0.01, 1e6)
+)
+
+
+@st.composite
+def price_file_bytes(draw):
+    """Random bytes, or date,price records with BOMs, CRLF/CR endings,
+    trailing commas, a stray line and stray bytes mixed in."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    lines = draw(st.lists(_FUZZ_RECORD, max_size=8))
+    if draw(st.booleans()):
+        stray = ",".join(draw(st.lists(_FUZZ_FIELD, max_size=3)))
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    trailing = "," * draw(st.sampled_from([0, 0, 1, 2]))
+    bom = draw(st.sampled_from(["", "\ufeff", "\ufeff\ufeff"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = bom + eol.join(line + trailing for line in lines)
+    data = text.encode("utf-8", "surrogatepass")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
+    return data
 
 
 def write_csv(tmp_path, text, name="prices.csv"):
@@ -115,6 +149,22 @@ class TestLoadPrices:
         path = write_csv(tmp_path, "date,price\n")
         with pytest.raises(FormatError, match="no parseable"):
             load_prices(path)
+
+    def test_utf8_bom_keeps_first_record(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff2020-01-01,10\n2020-01-02,11\n2020-01-03,12\n".encode())
+        text = io.StringIO(path.read_text(encoding="utf-8"))
+        for source in (path, io.BytesIO(path.read_bytes()), text):
+            loaded = load_prices(source)
+            assert len(loaded.series) == 3 and loaded.dropped == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=price_file_bytes())
+    def test_any_bytes_load_or_raise_typed_error(self, data):
+        try:
+            load_prices(io.BytesIO(data))
+        except WfeError:
+            pass
 
     def test_stream_input(self, tmp_path):
         path = write_csv(tmp_path, "1990-01-02,20.5\n1990-01-03,21.0\n")
@@ -273,6 +323,12 @@ class TestSplitByDates:
         p = self.make(8)
         with pytest.raises(DataError):
             split_by_dates(p, [p.dates[4], p.dates[2]])
+
+    def test_empty_cut_named(self):
+        p = self.make(8)
+        for cuts, bad in (([""], 1), ([p.dates[3], ""], 2), ([np.datetime64("NaT")], 1)):
+            with pytest.raises(DataError, match=f"cut date {bad} of {len(cuts)} is empty"):
+                split_by_dates(p, cuts)
 
     def test_tiny_segment_rejected(self):
         p = self.make(6)
