@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .detrend import Estimator, default_scales
-from .errors import ConfigError, WfeError
+from .errors import WfeError
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
-from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, estimate, exponent_relations
+from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, estimate
 from .shuffletest import DEFAULT_SEED, efficiency_test
 from .synth import FgnSpec, generate_fgn, synthetic_prices
 from .timeseries import (
@@ -181,7 +181,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     y = profile(r)
     grid = default_scales(y.n, args.points_per_decade)
     f, fit = estimate(y, grid, est, args.range_policy, args.window_len)
-    rel = exponent_relations(fit.h)
+    relations = {"eta": fit.eta, "gamma": fit.gamma}
 
     config = _config_dict(args)
     if args.format == "json":
@@ -194,7 +194,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "scales": f.scales,
                 "f": f.f,
                 "fit": fit.to_json_dict(),
-                "relations": {"eta": rel.eta, "gamma": rel.gamma},
+                "relations": relations,
             },
         )
     else:
@@ -202,34 +202,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(
             "# fit: " + json.dumps(fit.to_json_dict(), sort_keys=True)
         )
-        lines.append(
-            "# relations: "
-            + json.dumps({"eta": rel.eta, "gamma": rel.gamma}, sort_keys=True)
-        )
+        lines.append("# relations: " + json.dumps(relations, sort_keys=True))
         lines.append("s,F")
         lines.extend(f"{int(s)},{float(v)!r}" for s, v in zip(f.scales, f.f))
         text = "\n".join(lines) + "\n"
     _atomic_write(args.output, text)
     print(
         f"{f.method}: H = {fit.h:.4f} +/- {fit.stderr:.4f} over "
-        f"s in [{fit.s_lo}, {fit.s_hi}]  (eta = {rel.eta:.4f}, "
-        f"gamma = {rel.gamma:.4f})"
+        f"s in [{fit.s_lo}, {fit.s_hi}]  (eta = {fit.eta:.4f}, "
+        f"gamma = {fit.gamma:.4f})"
     )
     return 0
-
-
-def _parse_cuts(text: str) -> tuple[np.datetime64, ...]:
-    try:
-        return tuple(np.datetime64(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad --cuts value {text!r}: {exc}") from exc
 
 
 def cmd_test(args: argparse.Namespace) -> int:
     series = _load(args)
     est = _estimator(args)
     if args.cuts is not None:
-        cuts = _parse_cuts(args.cuts)
+        cuts = tuple(part.strip() for part in args.cuts.split(","))
     else:
         cuts = SUBSERIES_CUTS[args.subseries]
     segments = split_by_dates(series, cuts) if cuts else [series]

@@ -29,8 +29,6 @@ from .timeseries import ReturnSeries
 
 WINDOW_CSV_HEADER = "end_date,H,q025,q975,flag,s_lo,s_hi"
 
-FLAGS = ("below", "inside", "above")
-
 
 @dataclass(frozen=True)
 class WindowResult:
@@ -40,21 +38,21 @@ class WindowResult:
     h: float
     q025: float
     q975: float
-    flag: str
     s_lo: int
     s_hi: int
 
     def __post_init__(self):
         if self.q025 > self.q975:
             raise DataError("q025 must not exceed q975")
-        if self.flag not in FLAGS:
-            raise DataError(f"flag must be one of {FLAGS}")
-        expected = _band_flag(self.h, self.q025, self.q975)
-        if self.flag != expected:
-            raise DataError(
-                f"flag {self.flag!r} inconsistent with H={self.h} and band "
-                f"[{self.q025}, {self.q975}]"
-            )
+
+    @property
+    def flag(self) -> str:
+        """Where H lies against the band; the band edges count as inside."""
+        if self.h < self.q025:
+            return "below"
+        if self.h > self.q975:
+            return "above"
+        return "inside"
 
     @property
     def outside(self) -> bool:
@@ -65,14 +63,6 @@ class WindowResult:
             f"{self.end_date},{float(self.h)!r},{float(self.q025)!r},"
             f"{float(self.q975)!r},{self.flag},{int(self.s_lo)},{int(self.s_hi)}"
         )
-
-
-def _band_flag(h: float, q025: float, q975: float) -> str:
-    if h < q025:
-        return "below"
-    if h > q975:
-        return "above"
-    return "inside"
 
 
 def window_result(
@@ -117,7 +107,6 @@ def window_result(
         h=res.h,
         q025=res.q025,
         q975=res.q975,
-        flag=_band_flag(res.h, res.q025, res.q975),
         s_lo=res.s_lo,
         s_hi=res.s_hi,
     )

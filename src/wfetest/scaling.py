@@ -10,7 +10,6 @@ window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,6 +40,16 @@ class ScalingFit:
         if self.n_points < 2 or self.stderr < 0:
             raise DataError("fit needs n_points >= 2 and stderr >= 0")
 
+    @property
+    def eta(self) -> float:
+        """Power-spectrum exponent 2H - 1."""
+        return 2.0 * self.h - 1.0
+
+    @property
+    def gamma(self) -> float:
+        """Autocorrelation exponent 2 - 2H."""
+        return 2.0 - 2.0 * self.h
+
     def to_json_dict(self) -> dict:
         return {
             "H": self.h,
@@ -52,39 +61,19 @@ class ScalingFit:
         }
 
 
-@dataclass(frozen=True)
-class ExponentRelations:
-    """H with its power-spectrum and autocorrelation counterparts."""
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope and rss of y on x along the last axis.
 
-    h: float
-    eta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.eta != 2.0 * self.h - 1.0 or self.gamma != 2.0 - 2.0 * self.h:
-            raise DataError("eta and gamma must equal 2H-1 and 2-2H exactly")
-
-
-class WindowScan(NamedTuple):
-    """Per-window diagnostics from the scaling-range search."""
-
-    s_lo: np.ndarray
-    s_hi: np.ndarray
-    slope: np.ndarray
-    rss: np.ndarray
-
-
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Slope, rss, and slope standard error of y on x."""
-    dx = x - x.mean()
-    sxx = float(dx @ dx)
-    dy = y - y.mean()
-    slope = float(dx @ dy) / sxx
-    resid = dy - slope * dx
-    rss = float(resid @ resid)
-    n = len(x)
-    stderr = np.sqrt(rss / (n - 2) / sxx) if n > 2 else 0.0
-    return slope, rss, float(stderr)
+    Leading axes broadcast, so one call fits a single row, every row of
+    an ensemble, or every window of a grid.  Each row is summed in the
+    same order whatever the batch, so a row's slope does not depend on
+    the rows fitted with it.
+    """
+    dx = x - x.mean(axis=-1, keepdims=True)
+    dy = y - y.mean(axis=-1, keepdims=True)
+    slope = np.sum(dx * dy, axis=-1) / np.sum(dx * dx, axis=-1)
+    resid = dy - slope[..., None] * dx
+    return slope, np.sum(resid * resid, axis=-1)
 
 
 def fit_power_law(
@@ -107,48 +96,16 @@ def fit_power_law(
         raise DegenerateInputError("F(s) = 0 inside the fit range; log undefined")
     x = np.log(f.scales[mask].astype(np.float64))
     y = np.log(fv)
-    slope, rss, stderr = _ols(x, y)
+    slope, rss = _ols(x, y)
+    sxx = np.sum((x - x.mean()) ** 2)
+    stderr = np.sqrt(rss / (n_points - 2) / sxx) if n_points > 2 else 0.0
     return ScalingFit(
-        h=slope,
-        stderr=stderr,
+        h=float(slope),
+        stderr=float(stderr),
         s_lo=int(f.scales[mask][0]),
         s_hi=int(f.scales[mask][-1]),
-        rss=rss,
+        rss=float(rss),
         n_points=n_points,
-    )
-
-
-def scan_windows(
-    f: FluctuationFunction, window_len: int = DEFAULT_FIT_WINDOW
-) -> WindowScan:
-    """OLS slope and rss for every contiguous window of grid points.
-
-    Windows containing a nonpositive F carry rss = inf.
-    """
-    if window_len < 2:
-        raise DataError("window_len must be >= 2")
-    if len(f) < window_len:
-        raise InsufficientDataError(
-            f"grid has {len(f)} points; need >= {window_len}"
-        )
-    usable = np.isfinite(f.f) & (f.f > 0)
-    logf = np.where(usable, np.log(np.where(usable, f.f, 1.0)), np.nan)
-    logs = np.log(f.scales.astype(np.float64))
-
-    yw = sliding_window_view(logf, window_len)
-    xw = sliding_window_view(logs, window_len)
-    dx = xw - xw.mean(axis=1, keepdims=True)
-    sxx = np.sum(dx * dx, axis=1)
-    dy = yw - yw.mean(axis=1, keepdims=True)
-    slope = np.sum(dx * dy, axis=1) / sxx
-    resid = dy - slope[:, None] * dx
-    rss = np.sum(resid * resid, axis=1)
-    rss = np.where(np.isnan(rss), np.inf, rss)
-    return WindowScan(
-        s_lo=f.scales[: len(rss)].copy(),
-        s_hi=f.scales[window_len - 1 :].copy(),
-        slope=slope,
-        rss=rss,
     )
 
 
@@ -160,18 +117,26 @@ def detect_scaling_range(
     Ties break to the smaller s_lo.  Raises InsufficientDataError when
     no window of window_len consecutive positive-F points exists.
     """
+    if window_len < 2:
+        raise DataError("window_len must be >= 2")
     usable = np.isfinite(f.f) & (f.f > 0)
     if int(usable.sum()) < window_len:
         raise InsufficientDataError(
             f"grid has {int(usable.sum())} usable points; need >= {window_len}"
         )
-    scan = scan_windows(f, window_len)
-    best = int(np.argmin(scan.rss))
-    if not np.isfinite(scan.rss[best]):
+    logf = np.where(usable, np.log(np.where(usable, f.f, 1.0)), np.nan)
+    logs = np.log(f.scales.astype(np.float64))
+    _, rss = _ols(
+        sliding_window_view(logs, window_len), sliding_window_view(logf, window_len)
+    )
+    # a window touching a nonpositive F has rss NaN and never wins
+    rss = np.where(np.isnan(rss), np.inf, rss)
+    best = int(np.argmin(rss))
+    if not np.isfinite(rss[best]):
         raise InsufficientDataError(
             f"no window of {window_len} consecutive positive-F grid points"
         )
-    return int(scan.s_lo[best]), int(scan.s_hi[best])
+    return int(f.scales[best]), int(f.scales[best + window_len - 1])
 
 
 def estimate(
@@ -196,11 +161,6 @@ def estimate(
     return f, fit_power_law(f, s_range)
 
 
-def exponent_relations(h: float) -> ExponentRelations:
-    """Power-spectrum exponent 2H-1 and autocorrelation exponent 2-2H."""
-    return ExponentRelations(h=h, eta=2.0 * h - 1.0, gamma=2.0 - 2.0 * h)
-
-
 def slopes_in_range(
     f_matrix: np.ndarray, scales: np.ndarray, s_range: tuple[int, int]
 ) -> np.ndarray:
@@ -218,12 +178,8 @@ def slopes_in_range(
             f"range [{lo}, {hi}] holds {int(mask.sum())} grid point(s); need >= 2"
         )
     x = np.log(scales[mask].astype(np.float64))
-    dx = x - x.mean()
-    sxx = float(dx @ dx)
-
-    sub = np.atleast_2d(f_matrix)[:, mask]
+    # C order, so each row is summed exactly as fit_power_law sums it
+    sub = np.ascontiguousarray(np.atleast_2d(f_matrix)[:, mask])
     ok = np.all(np.isfinite(sub) & (sub > 0), axis=1)
-    y = np.log(np.where(sub > 0, sub, 1.0))
-    dy = y - y.mean(axis=1, keepdims=True)
-    slopes = np.sum(dy * dx, axis=1) / sxx
+    slopes, _ = _ols(x, np.log(np.where(ok[:, None], sub, 1.0)))
     return np.where(ok, slopes, np.nan)

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .detrend import Estimator, ScaleGrid, default_scales
-from .errors import DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError
 from .scaling import DEFAULT_FIT_WINDOW, estimate, slopes_in_range
 from .timeseries import ReturnSeries, profile
 
@@ -37,46 +38,51 @@ SIGNIFICANCE_LEVEL = 0.01
 
 @dataclass(frozen=True, eq=False)
 class ShuffleTestResult:
-    """Original exponent, shuffle ensemble, and the two-tailed p-value."""
+    """Original exponent and shuffle ensemble; the statistics derive from them."""
 
     method: str
     h: float
     ensemble: np.ndarray = field(repr=False)
-    mean_hs: float
-    p: float
-    q025: float
-    q975: float
-    n_replicates: int
     seed: int
     s_lo: int
     s_hi: int
     n_redraws: int = 0
 
-    def __eq__(self, other):
-        if not isinstance(other, ShuffleTestResult):
-            return NotImplemented
-        return np.array_equal(self.ensemble, other.ensemble) and all(
-            getattr(self, name) == getattr(other, name)
-            for name in (
-                "method", "h", "mean_hs", "p", "q025", "q975",
-                "n_replicates", "seed", "s_lo", "s_hi", "n_redraws",
-            )
-        )
-
     def __post_init__(self):
         ensemble = np.ascontiguousarray(np.asarray(self.ensemble, dtype=np.float64))
         ensemble.setflags(write=False)
         object.__setattr__(self, "ensemble", ensemble)
-        if len(ensemble) != self.n_replicates:
-            raise DataError("ensemble length must equal n_replicates")
-        if not 0.0 <= self.p <= 1.0 or self.q025 > self.q975:
-            raise DataError("invalid p-value or quantiles")
-        if two_tailed_p(self.h, ensemble) != self.p:
-            raise DataError("stored p does not reproduce from the stored ensemble")
+        if len(ensemble) == 0:
+            raise DataError("ensemble must be nonempty")
         if self.n_replicates >= 100 and not (
             self.q025 <= self.mean_hs <= self.q975
         ):
             raise DataError("ensemble mean outside its own 2.5/97.5% band")
+
+    @property
+    def n_replicates(self) -> int:
+        return len(self.ensemble)
+
+    @cached_property
+    def mean_hs(self) -> float:
+        return float(self.ensemble.mean())
+
+    @cached_property
+    def p(self) -> float:
+        return two_tailed_p(self.h, self.ensemble)
+
+    @cached_property
+    def _band(self) -> tuple[float, float]:
+        q025, q975 = np.quantile(self.ensemble, [0.025, 0.975], method="linear")
+        return float(q025), float(q975)
+
+    @property
+    def q025(self) -> float:
+        return self._band[0]
+
+    @property
+    def q975(self) -> float:
+        return self._band[1]
 
     @property
     def rejected(self) -> bool:
@@ -130,12 +136,15 @@ def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
 
 
 def _ordered_map(fn: Callable, jobs: Sequence, workers: int) -> Iterator:
-    """Yield fn(job) for each job in order, on a process pool when workers > 1.
+    """Yield fn(job) for each job in order, on up to ``workers`` processes.
 
     Results never depend on the worker count; one job or one worker
-    runs in this process.
+    runs in this process, and the pool never outnumbers the jobs.
     """
-    if workers > 1 and len(jobs) > 1:
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
+    workers = min(workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, jobs)
     else:
@@ -233,16 +242,10 @@ def efficiency_test(
         r.values, est, grid.scales, (fit.s_lo, fit.s_hi), n_replicates,
         seed, spawn_prefix, workers,
     )
-    q025, q975 = np.quantile(ensemble, [0.025, 0.975], method="linear")
     return ShuffleTestResult(
         method=est.tag,
         h=fit.h,
         ensemble=ensemble,
-        mean_hs=float(ensemble.mean()),
-        p=two_tailed_p(fit.h, ensemble),
-        q025=float(q025),
-        q975=float(q975),
-        n_replicates=n_replicates,
         seed=seed,
         s_lo=fit.s_lo,
         s_hi=fit.s_hi,

@@ -190,20 +190,14 @@ def load_prices(
         date_text = parts[0]
         price_text = parts[1] if len(parts) > 1 else ""
 
-        if fmt is None:
-            detected = _detect_date_format(date_text)
-            if detected is None:
-                if header_allowed:
-                    header_allowed = False
-                    continue
-                raise FormatError(f"line {lineno}: unparseable date {date_text!r}")
-            fmt = detected
-        date = _parse_date(date_text, fmt)
+        line_fmt = fmt or _detect_date_format(date_text)
+        date = _parse_date(date_text, line_fmt) if line_fmt else None
         if date is None:
             if header_allowed:
                 header_allowed = False
                 continue
             raise FormatError(f"line {lineno}: unparseable date {date_text!r}")
+        fmt = line_fmt
         header_allowed = False
 
         if len(parts) > 2:
@@ -257,12 +251,21 @@ def split_by_dates(
     increasing and strictly inside the series' date span.  Concatenating
     the segments reproduces the input exactly.
     """
-    cuts = np.array([np.datetime64(c, "D") for c in cut_dates], dtype="datetime64[D]")
-    if len(cuts) == 0:
+    cut_dates = list(cut_dates)
+    if not cut_dates:
         return [p]
+    cuts = np.full(len(cut_dates), np.datetime64("NaT"), dtype="datetime64[D]")
+    for k, c in enumerate(cut_dates):
+        try:
+            cuts[k] = np.datetime64(c, "D")
+        except ValueError:
+            pass  # stays NaT and is reported below
     if np.any(np.isnat(cuts)):
         bad = int(np.flatnonzero(np.isnat(cuts))[0])
-        raise DataError(f"cut date {bad + 1} of {len(cuts)} is empty or not a date")
+        raise DataError(
+            f"cut date {bad + 1} of {len(cuts)} is empty or not a date: "
+            f"{str(cut_dates[bad])!r}"
+        )
     if not np.all(cuts[1:] > cuts[:-1]):
         raise DataError("cut dates must be strictly increasing")
     if cuts[0] <= p.dates[0] or cuts[-1] >= p.dates[-1]:

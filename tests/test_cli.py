@@ -188,6 +188,18 @@ class TestTestCommand:
             assert run("test", "-i", prices, "--cuts", cuts,
                        "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
             assert "is empty or not a date" in capsys.readouterr().err
+        assert run("test", "-i", prices, "--cuts", "2000-13-01",
+                   "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
+        assert capsys.readouterr().err.startswith("error: cut date 1 of 1")
+
+    def test_nonpositive_threads_fail(self, tmp_path, capsys):
+        prices = synth_prices(tmp_path, n=500)
+        capsys.readouterr()
+        for threads in (0, -3):
+            assert run("test", "-i", prices, "--threads", threads,
+                       "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
+            assert "error: worker count must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
     def test_include_ensemble(self, tmp_path):
         prices = synth_prices(tmp_path, n=500)

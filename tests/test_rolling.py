@@ -23,20 +23,17 @@ def make_returns(n_returns, hurst=0.5, seed=13, sigma=0.01):
 
 
 class TestWindowResult:
-    def make(self, h=0.5, q025=0.45, q975=0.55, flag="inside", s_lo=10, s_hi=100):
+    def make(self, h=0.5, q025=0.45, q975=0.55, s_lo=10, s_hi=100):
         return WindowResult(
             end_date=np.datetime64("2001-01-01"), h=h, q025=q025,
-            q975=q975, flag=flag, s_lo=s_lo, s_hi=s_hi,
+            q975=q975, s_lo=s_lo, s_hi=s_hi,
         )
 
     def test_flag_consistency_enforced(self):
+        # the flag derives from H and the band, so it cannot disagree
         assert self.make().flag == "inside"
-        assert self.make(h=0.40, flag="below").flag == "below"
-        assert self.make(h=0.60, flag="above").flag == "above"
-        with pytest.raises(DataError):
-            self.make(h=0.60, flag="inside")
-        with pytest.raises(DataError):
-            self.make(flag="outside")
+        assert self.make(h=0.40).flag == "below"
+        assert self.make(h=0.60).flag == "above"
 
     def test_band_edges_count_as_inside(self):
         assert self.make(h=0.45).flag == "inside"
@@ -44,11 +41,11 @@ class TestWindowResult:
 
     def test_quantile_order_enforced(self):
         with pytest.raises(DataError):
-            self.make(q025=0.6, q975=0.4, flag="below")
+            self.make(q025=0.6, q975=0.4)
 
     def test_outside_property(self):
         assert not self.make().outside
-        assert self.make(h=0.40, flag="below").outside
+        assert self.make(h=0.40).outside
 
     def test_csv_row_matches_header(self):
         row = self.make().csv_row()

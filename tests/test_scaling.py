@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from wfetest.detrend import FluctuationFunction, default_scales
+from wfetest.detrend import Estimator, FluctuationFunction, default_scales
 from wfetest.errors import (
     DataError,
     DegenerateInputError,
@@ -13,13 +14,10 @@ from wfetest.errors import (
 )
 from wfetest.scaling import (
     DEFAULT_FIT_WINDOW,
-    ExponentRelations,
     ScalingFit,
     _ols,
     detect_scaling_range,
-    exponent_relations,
     fit_power_law,
-    scan_windows,
     slopes_in_range,
 )
 
@@ -31,23 +29,52 @@ def power_law_f(scales, h, amp=1.0, method="DFA", n=4096):
 
 class TestOls:
     def test_hand_values(self):
-        slope, rss, stderr = _ols(
-            np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])
-        )
+        slope, rss = _ols(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
         assert slope == pytest.approx(1.5, abs=1e-15)
         assert rss == pytest.approx(1.0 / 6.0, abs=1e-15)
-        assert stderr == pytest.approx(math.sqrt(1.0 / 12.0), abs=1e-15)
 
     def test_two_points_exact_fit(self):
-        slope, rss, stderr = _ols(
-            np.array([1.0, 3.0]), np.array([2.0, 8.0])
-        )
+        slope, rss = _ols(np.array([1.0, 3.0]), np.array([2.0, 8.0]))
         assert slope == pytest.approx(3.0, abs=1e-15)
         assert rss == pytest.approx(0.0, abs=1e-28)
-        assert stderr == 0.0
+
+    def test_rows_broadcast_and_match_single_fits_exactly(self):
+        rng = np.random.default_rng(3)
+        x = np.log(np.arange(10.0, 27.0))
+        ys = rng.standard_normal((6, len(x)))
+        slopes, rss = _ols(x, ys)
+        assert slopes.shape == rss.shape == (6,)
+        for i in range(6):
+            assert (slopes[i], rss[i]) == _ols(x, ys[i])
+
+    def test_slopes_match_pointwise_ols(self):
+        # the range search fits every window of the grid in one call
+        rng = np.random.default_rng(4)
+        x = np.log(np.arange(10.0, 40.0))
+        y = rng.standard_normal(30)
+        slopes, rss = _ols(sliding_window_view(x, 5), sliding_window_view(y, 5))
+        assert slopes.shape == rss.shape == (26,)
+        for w in range(26):
+            slope, res = _ols(x[w : w + 5], y[w : w + 5])
+            assert slopes[w] == pytest.approx(slope, abs=1e-12)
+            assert rss[w] == pytest.approx(res, abs=1e-12)
 
 
 class TestFitPowerLaw:
+    def test_hand_values(self):
+        # ln s = ln2 * (1, 2, 3) and ln F = ln2 * (0, 1, 3)
+        f = FluctuationFunction(np.array([2, 4, 8]), np.array([1.0, 2.0, 8.0]), "DFA", 100)
+        fit = fit_power_law(f, (2, 8))
+        assert fit.h == pytest.approx(1.5, abs=1e-15)
+        assert fit.rss == pytest.approx(math.log(2.0) ** 2 / 6.0, abs=1e-15)
+        assert fit.stderr == pytest.approx(math.sqrt(1.0 / 12.0), abs=1e-15)
+
+    def test_two_points_have_zero_stderr(self):
+        f = FluctuationFunction(np.array([2, 8]), np.array([1.0, 8.0]), "DFA", 100)
+        fit = fit_power_law(f, (2, 8))
+        assert fit.h == pytest.approx(1.5, abs=1e-15)
+        assert fit.stderr == 0.0
+
     def test_exact_law_recovered(self):
         f = power_law_f(default_scales(4096).scales, 0.7, amp=2.0)
         fit = fit_power_law(f, (int(f.scales[0]), int(f.scales[-1])))
@@ -107,43 +134,31 @@ class TestScalingFitType:
 
 
 class TestScanWindows:
-    def test_window_geometry(self):
-        f = power_law_f(np.arange(10, 60), 0.5)
-        scan = scan_windows(f, window_len=15)
-        assert len(scan.rss) == len(f) - 15 + 1
-        assert scan.s_lo[0] == 10 and scan.s_hi[0] == 24
-        assert scan.s_lo[-1] == 45 and scan.s_hi[-1] == 59
+    """The window scan inside :func:`detect_scaling_range`."""
 
-    def test_slopes_match_pointwise_ols(self):
-        rng = np.random.default_rng(4)
-        scales = np.arange(10, 40)
-        f = FluctuationFunction(
-            scales, np.exp(rng.standard_normal(30)), "DFA", 1000
-        )
-        scan = scan_windows(f, window_len=5)
-        x = np.log(scales.astype(float))
-        y = np.log(f.f)
-        for w in range(len(scan.rss)):
-            slope, rss, _ = _ols(x[w : w + 5], y[w : w + 5])
-            assert scan.slope[w] == pytest.approx(slope, abs=1e-12)
-            assert scan.rss[w] == pytest.approx(rss, abs=1e-12)
+    def test_window_geometry(self):
+        # noisy F except on the last 15 grid points: the last window wins
+        scales = np.arange(10, 60)
+        y = 0.5 * np.log(scales.astype(float))
+        y[:35] += 1e-2 * np.sin(np.arange(35))
+        f = FluctuationFunction(scales, np.exp(y), "DFA", 1000)
+        assert detect_scaling_range(f, window_len=15) == (45, 59)
 
     def test_zero_f_window_gets_inf(self):
+        # exact law on grid points 0..7, so the zero at 3 excludes windows 0..3
         scales = np.arange(10, 26)
-        values = np.linspace(1.0, 2.0, 16)
+        values = np.exp(np.random.default_rng(2).standard_normal(16))
+        values[:8] = scales[:8] ** 0.5
         values[3] = 0.0
         f = FluctuationFunction(scales, values, "DFA", 1000)
-        scan = scan_windows(f, window_len=4)
-        assert np.isinf(scan.rss[0])  # window 0..3 contains the zero
-        assert np.isinf(scan.rss[3])
-        assert np.isfinite(scan.rss[4])
+        assert detect_scaling_range(f, window_len=4) == (14, 17)
 
     def test_bad_window_len(self):
         f = power_law_f(np.arange(10, 30), 0.5)
         with pytest.raises(DataError):
-            scan_windows(f, window_len=1)
+            detect_scaling_range(f, window_len=1)
         with pytest.raises(InsufficientDataError):
-            scan_windows(f, window_len=21)
+            detect_scaling_range(f, window_len=21)
 
 
 class TestDetectScalingRange:
@@ -190,23 +205,25 @@ class TestDetectScalingRange:
             detect_scaling_range(f, window_len=15)
 
 
-class TestExponentRelations:
-    def test_values(self):
-        rel = exponent_relations(0.75)
-        assert rel.eta == 0.5 and rel.gamma == 0.5
-        rel = exponent_relations(0.5)
-        assert rel.eta == 0.0 and rel.gamma == 1.0
+def fit_with_h(h: float) -> ScalingFit:
+    return ScalingFit(h=h, stderr=0.01, s_lo=10, s_hi=40, rss=0.2, n_points=5)
 
-    def test_consistency_enforced(self):
-        with pytest.raises(DataError):
-            ExponentRelations(h=0.5, eta=0.1, gamma=1.0)
+
+class TestExponentRelations:
+    """eta and gamma derive from the fitted H."""
+
+    def test_values(self):
+        fit = fit_with_h(0.75)
+        assert fit.eta == 0.5 and fit.gamma == 0.5
+        fit = fit_with_h(0.5)
+        assert fit.eta == 0.0 and fit.gamma == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.floats(min_value=-2, max_value=3, allow_nan=False))
     def test_relations_hold_for_any_h(self, h):
-        rel = exponent_relations(h)
-        assert rel.eta == 2.0 * h - 1.0
-        assert rel.gamma == 2.0 - 2.0 * h
+        fit = fit_with_h(h)
+        assert fit.eta == 2.0 * h - 1.0
+        assert fit.gamma == 2.0 - 2.0 * h
 
 
 class TestSlopesInRange:
@@ -218,7 +235,20 @@ class TestSlopesInRange:
         for i in range(5):
             f = FluctuationFunction(scales, rows[i], "DFA", 2000)
             fit = fit_power_law(f, (15, 150))
-            assert slopes[i] == pytest.approx(fit.h, abs=1e-13)
+            assert slopes[i] == fit.h
+
+    @pytest.mark.parametrize("est", [Estimator.dfa(), Estimator.dma(0.5)], ids=["dfa", "cdma"])
+    def test_ensemble_rows_bitwise_equal_to_fit(self, est):
+        # the shuffle statistic H_s and the original H come from one fit
+        n = 1000
+        scales = default_scales(n).scales
+        profiles = np.cumsum(np.random.default_rng(11).standard_normal((64, n)), axis=1)
+        f_matrix = est.fluctuation_matrix(profiles, scales)
+        for s_range in ((int(scales[0]), int(scales[-1])), (int(scales[3]), int(scales[17]))):
+            slopes = slopes_in_range(f_matrix, scales, s_range)
+            for i, row in enumerate(f_matrix):
+                f = FluctuationFunction(scales, row, est.tag, n)
+                assert slopes[i] == fit_power_law(f, s_range).h
 
     def test_bad_rows_become_nan(self):
         scales = np.array([10, 20, 40, 80])

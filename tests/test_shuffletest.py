@@ -3,13 +3,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from wfetest import shuffletest
 from wfetest.detrend import Estimator, ScaleGrid, default_scales
-from wfetest.errors import DataError, EstimationError
+from wfetest.errors import ConfigError, DataError, EstimationError
 from wfetest.shuffletest import (
     DEFAULT_SEED,
     SIGNIFICANCE_LEVEL,
     ShuffleTestResult,
     _chunk_size,
+    _ordered_map,
     _shuffled_slopes_chunk,
     efficiency_test,
     replicate_rng,
@@ -184,7 +186,9 @@ class TestEfficiencyTest:
         a = efficiency_test(r, Estimator.dma(0.0), n_replicates=50, seed=5)
         b = efficiency_test(r, Estimator.dma(0.0), n_replicates=50, seed=5)
         c = efficiency_test(r, Estimator.dma(0.0), n_replicates=50, seed=6)
-        assert np.array_equal(a.ensemble, b.ensemble) and a == b
+        assert a.to_json_dict(include_ensemble=True) == b.to_json_dict(
+            include_ensemble=True
+        )
         assert not np.array_equal(a.ensemble, c.ensemble)
 
     def test_null_data_not_rejected(self):
@@ -220,35 +224,38 @@ class TestEfficiencyTest:
 
 class TestShuffleTestResult:
     def valid_kwargs(self):
-        ensemble = np.array([0.48, 0.5, 0.52, 0.49, 0.51])
         return dict(
-            method="DFA", h=0.5, ensemble=ensemble,
-            mean_hs=float(ensemble.mean()),
-            p=two_tailed_p(0.5, ensemble),
-            q025=0.48, q975=0.52, n_replicates=5, seed=1,
-            s_lo=10, s_hi=100,
+            method="DFA", h=0.5, ensemble=np.array([0.48, 0.5, 0.52, 0.49, 0.51]),
+            seed=1, s_lo=10, s_hi=100,
         )
 
     def test_valid_construction(self):
         res = ShuffleTestResult(**self.valid_kwargs())
         assert res.n_redraws == 0
 
-    def test_stored_p_must_reproduce(self):
-        kwargs = self.valid_kwargs()
-        kwargs["p"] = 0.123
-        with pytest.raises(DataError):
-            ShuffleTestResult(**kwargs)
+    def test_statistics_derive_from_ensemble(self):
+        res = ShuffleTestResult(**self.valid_kwargs())
+        assert res.n_replicates == 5
+        assert res.mean_hs == float(res.ensemble.mean())
+        assert res.p == two_tailed_p(0.5, res.ensemble)
 
     def test_quantiles_must_be_ordered(self):
+        res = ShuffleTestResult(**self.valid_kwargs())
+        q = np.quantile(res.ensemble, [0.025, 0.975], method="linear")
+        assert (res.q025, res.q975) == (q[0], q[1])
+        assert res.q025 <= res.mean_hs <= res.q975
+
+    def test_empty_ensemble_rejected(self):
         kwargs = self.valid_kwargs()
-        kwargs["q025"], kwargs["q975"] = kwargs["q975"], kwargs["q025"]
+        kwargs["ensemble"] = np.array([])
         with pytest.raises(DataError):
             ShuffleTestResult(**kwargs)
 
-    def test_ensemble_length_checked(self):
+    def test_mean_outside_band_rejected(self):
+        # one huge outlier among 100 drags the mean above the 97.5% quantile
         kwargs = self.valid_kwargs()
-        kwargs["n_replicates"] = 6
-        with pytest.raises(DataError):
+        kwargs["ensemble"] = np.r_[np.full(99, 0.5), 1e6]
+        with pytest.raises(DataError, match="outside"):
             ShuffleTestResult(**kwargs)
 
     def test_json_dict_round_trips(self):
@@ -263,3 +270,42 @@ class TestShuffleTestResult:
     def test_default_seed_constant(self):
         assert DEFAULT_SEED == 42
         assert SIGNIFICANCE_LEVEL == 0.01
+
+
+class TestOrderedMap:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Pool sizes requested; the stand-in pool runs jobs in this process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(shuffletest, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_capped_at_job_count(self, pool_sizes):
+        assert list(_ordered_map(abs, [-1, -2, -3], 5000)) == [1, 2, 3]
+        assert list(_ordered_map(abs, range(-9, 0), 2)) == list(range(9, 0, -1))
+        assert pool_sizes == [3, 2]
+
+    def test_one_job_or_worker_runs_here(self, pool_sizes):
+        assert list(_ordered_map(abs, [-4], 5000)) == [4]
+        assert list(_ordered_map(abs, [-1, -2], 1)) == [1, 2]
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, pool_sizes, workers):
+        with pytest.raises(ConfigError, match="worker count"):
+            list(_ordered_map(abs, [-1, -2], workers))
+        assert pool_sizes == []

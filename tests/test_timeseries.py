@@ -330,6 +330,15 @@ class TestSplitByDates:
             with pytest.raises(DataError, match=f"cut date {bad} of {len(cuts)} is empty"):
                 split_by_dates(p, cuts)
 
+    def test_unparseable_cut_named(self):
+        p = self.make(8)
+        for cuts, message in (
+            (["2020-13-01"], "cut date 1 of 1 .*'2020-13-01'"),
+            ([p.dates[3], "not-a-date"], "cut date 2 of 2 .*'not-a-date'"),
+        ):
+            with pytest.raises(DataError, match=message):
+                split_by_dates(p, cuts)
+
     def test_tiny_segment_rejected(self):
         p = self.make(6)
         with pytest.raises(DataError, match="at least 2"):
