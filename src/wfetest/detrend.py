@@ -150,7 +150,9 @@ def default_scales(n: int, points_per_decade: int = 20) -> ScaleGrid:
             f"[10, {s_max}]; need at least {MIN_GRID_POINTS}"
         )
     decades = math.log10(s_max / 10.0)
-    num = max(math.ceil(points_per_decade * decades) + 1, MIN_GRID_POINTS)
+    # from this count on, points lie <= 0.5 apart and round to every integer
+    dense = math.ceil(decades / math.log10(1 + 1 / (2 * s_max))) + 1
+    num = min(max(math.ceil(points_per_decade * decades) + 1, MIN_GRID_POINTS), dense)
     for trial in (num, 2 * num, 4 * num, 8 * num):
         scales = np.unique(
             np.round(np.logspace(1.0, math.log10(s_max), trial)).astype(np.int64)

@@ -76,6 +76,17 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slope, np.sum(resid * resid, axis=-1)
 
 
+def _in_range(scales: np.ndarray, s_range: tuple[int, int]) -> np.ndarray:
+    """Mask of the grid scales with s_lo <= s <= s_hi; at least two must be in."""
+    lo, hi = s_range
+    mask = (scales >= lo) & (scales <= hi)
+    if int(mask.sum()) < 2:
+        raise InsufficientDataError(
+            f"range [{lo}, {hi}] holds {int(mask.sum())} grid point(s); need >= 2"
+        )
+    return mask
+
+
 def fit_power_law(
     f: FluctuationFunction, s_range: tuple[int, int]
 ) -> ScalingFit:
@@ -84,13 +95,8 @@ def fit_power_law(
     The recorded range is snapped to the smallest and largest grid
     scales actually fitted.
     """
-    lo, hi = s_range
-    mask = (f.scales >= lo) & (f.scales <= hi)
+    mask = _in_range(f.scales, s_range)
     n_points = int(mask.sum())
-    if n_points < 2:
-        raise InsufficientDataError(
-            f"range [{lo}, {hi}] holds {n_points} grid point(s); need >= 2"
-        )
     fv = f.f[mask]
     if np.any(fv <= 0):
         raise DegenerateInputError("F(s) = 0 inside the fit range; log undefined")
@@ -161,25 +167,15 @@ def estimate(
     return f, fit_power_law(f, s_range)
 
 
-def slopes_in_range(
-    f_matrix: np.ndarray, scales: np.ndarray, s_range: tuple[int, int]
-) -> np.ndarray:
-    """Per-row log-log slopes over a fixed scale range.
+def slopes_in_range(f_matrix: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Per-row log-log slopes over every scale column given.
 
-    Batch companion to :func:`fit_power_law` for shuffle ensembles: rows
-    whose F is nonpositive or non-finite anywhere in the range come back
-    as NaN instead of raising.
+    Batch companion to :func:`fit_power_law` for shuffle ensembles,
+    which are computed on the fitted scales only: rows whose F is
+    nonpositive or non-finite anywhere come back as NaN instead of
+    raising.  A C-ordered row is summed exactly as fit_power_law sums it.
     """
-    lo, hi = s_range
-    scales = np.asarray(scales, dtype=np.int64)
-    mask = (scales >= lo) & (scales <= hi)
-    if int(mask.sum()) < 2:
-        raise InsufficientDataError(
-            f"range [{lo}, {hi}] holds {int(mask.sum())} grid point(s); need >= 2"
-        )
-    x = np.log(scales[mask].astype(np.float64))
-    # C order, so each row is summed exactly as fit_power_law sums it
-    sub = np.ascontiguousarray(np.atleast_2d(f_matrix)[:, mask])
-    ok = np.all(np.isfinite(sub) & (sub > 0), axis=1)
-    slopes, _ = _ols(x, np.log(np.where(ok[:, None], sub, 1.0)))
+    x = np.log(np.asarray(scales, dtype=np.float64))
+    ok = np.all(np.isfinite(f_matrix) & (f_matrix > 0), axis=1)
+    slopes, _ = _ols(x, np.log(np.where(ok[:, None], f_matrix, 1.0)))
     return np.where(ok, slopes, np.nan)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .detrend import Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, DataError, EstimationError
-from .scaling import DEFAULT_FIT_WINDOW, estimate, slopes_in_range
+from .scaling import DEFAULT_FIT_WINDOW, _in_range, estimate, slopes_in_range
 from .timeseries import ReturnSeries, profile
 
 DEFAULT_SEED = 42
@@ -152,19 +152,19 @@ def _ordered_map(fn: Callable, jobs: Sequence, workers: int) -> Iterator:
 
 
 def _chunk_size(n: int) -> int:
-    # keep per-chunk work in cache-friendly territory; depends only on n
+    # at most 256 profile rows: 256 x 7,400 float64 is about 15 MB; depends only on n
     return int(min(256, max(16, (1 << 21) // max(n, 1))))
 
 
-def _shuffled_slopes_chunk(args) -> np.ndarray:
-    values, est, scales, s_range, base_seed, prefix, start, count = args
-    rows = np.empty((count, len(values)), dtype=np.float64)
-    for i in range(count):
-        rng = replicate_rng(base_seed, start + i, prefix)
-        perm = rng.permutation(values)
-        rows[i] = np.cumsum(perm - perm.mean())
-    f = est.fluctuation_matrix(rows, scales)
-    return slopes_in_range(f, scales, s_range)
+def _shuffled_slopes(
+    values, est: Estimator, scales, base_seed: int, prefix: tuple, indices: range
+) -> np.ndarray:
+    """Exponents of the shuffled replicates ``indices``, fitted on all ``scales``."""
+    rows = np.empty((len(indices), len(values)), dtype=np.float64)
+    for row, i in zip(rows, indices):
+        perm = replicate_rng(base_seed, i, prefix).permutation(values)
+        row[:] = np.cumsum(perm - perm.mean())
+    return slopes_in_range(est.fluctuation_matrix(rows, scales), scales)
 
 
 def shuffle_exponents(
@@ -179,19 +179,22 @@ def shuffle_exponents(
 ) -> tuple[np.ndarray, int]:
     """Exponents of n_replicates shuffled series over a fixed range.
 
-    Returns the ensemble ordered by replicate index and the number of
-    redraws that were needed for degenerate replicates.
+    Only the grid scales inside ``s_range`` are computed.  Returns the
+    ensemble ordered by replicate index and the number of redraws that
+    were needed for degenerate replicates.
     """
     if n_replicates < 1:
         raise DataError("n_replicates must be >= 1")
     values = np.asarray(values, dtype=np.float64)
+    scales = np.asarray(scales, dtype=np.int64)
+    slopes = partial(
+        _shuffled_slopes, values, est, scales[_in_range(scales, s_range)],
+        base_seed, spawn_prefix,
+    )
+    indices = range(n_replicates)
     chunk = _chunk_size(len(values))
-    jobs = [
-        (values, est, scales, s_range, base_seed, spawn_prefix, start,
-         min(chunk, n_replicates - start))
-        for start in range(0, n_replicates, chunk)
-    ]
-    ensemble = np.concatenate(list(_ordered_map(_shuffled_slopes_chunk, jobs, workers)))
+    jobs = [indices[k : k + chunk] for k in indices[::chunk]]
+    ensemble = np.concatenate(list(_ordered_map(slopes, jobs, workers)))
 
     # redraw degenerate replicates from indices past the ensemble
     max_redraws = max(1, n_replicates // 100)
@@ -205,10 +208,7 @@ def shuffle_exponents(
                     f"({max_redraws}); series is degenerate for {est.tag}"
                 )
             n_redraws += 1
-            redraw = _shuffled_slopes_chunk(
-                (values, est, scales, s_range, base_seed, spawn_prefix,
-                 next_index, 1)
-            )[0]
+            redraw = slopes(range(next_index, next_index + 1))[0]
             next_index += 1
             if np.isfinite(redraw):
                 ensemble[slot] = redraw

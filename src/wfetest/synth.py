@@ -40,8 +40,8 @@ class FgnSpec:
             raise DataError(f"hurst must be in (0, 1), got {self.hurst}")
         if self.n < 2:
             raise DataError(f"n must be >= 2, got {self.n}")
-        if self.sigma <= 0:
-            raise DataError(f"sigma must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise DataError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 def fgn_autocovariance(

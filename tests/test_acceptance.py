@@ -209,6 +209,7 @@ def test_real_data_call_sequence_on_synthetic_stand_in():
         assert row.end_date == r.dates[k * step + 999]
 
 
+@pytest.mark.slow
 def test_criterion_7_size_calibration_on_iid_noise():
     rejections = 0
     for seed in range(50):

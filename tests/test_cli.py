@@ -59,6 +59,13 @@ class TestSynthCommand:
         assert run("synth", "--hurst", 1.5, "-o", out) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_nonfinite_sigma_fails_without_artifact(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x.csv"
+        assert run("synth", "--hurst", 0.5, "--sigma", sigma, "-o", out) == 1
+        assert "error: sigma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_json_artifact_recovers_h(self, tmp_path, capsys):
@@ -100,6 +107,13 @@ class TestAnalyzeCommand:
                    "--format", "json", "-o", out) == 0
         doc = json.loads(out.read_text())
         assert doc["fit"]["n_points"] == 15
+
+    def test_huge_density_gives_every_integer_scale(self, tmp_path):
+        prices = synth_prices(tmp_path, n=600)
+        out = tmp_path / "a.json"
+        assert run("analyze", "-i", prices, "--points-per-decade", 10**12,
+                   "--format", "json", "-o", out) == 0
+        assert json.loads(out.read_text())["scales"] == list(range(10, 61))
 
     def test_three_point_file_fails(self, tmp_path):
         path = tmp_path / "tiny.csv"

@@ -219,6 +219,40 @@ class TestScaleGrid:
         with pytest.raises(DataError):
             default_scales(1000, points_per_decade=0)
 
+    @staticmethod
+    def uncapped_scales(n, points_per_decade):
+        # the grid rule with logspace sized by the requested density alone
+        s_max = n // 10
+        decades = math.log10(s_max / 10.0)
+        num = max(math.ceil(points_per_decade * decades) + 1, 16)
+        for trial in (num, 2 * num, 4 * num, 8 * num):
+            scales = np.unique(
+                np.round(np.logspace(1.0, math.log10(s_max), trial)).astype(np.int64)
+            )
+            if len(scales) >= 16:
+                return scales
+        return np.arange(10, s_max + 1)
+
+    def test_density_cap_changes_no_grid(self):
+        for n in range(250, 20001, 569):
+            for ppd in (1, 5, 20, 150, 2000, 30000):
+                assert np.array_equal(
+                    default_scales(n, ppd).scales, self.uncapped_scales(n, ppd)
+                ), (n, ppd)
+
+    def test_past_the_cap_every_integer_is_hit(self):
+        for n in (160, 1000, 7401, 50000):
+            s_max = n // 10
+            c = math.ceil(math.log10(s_max / 10) / math.log10(1 + 1 / (2 * s_max))) + 1
+            for num in (c, c + 1, 2 * c, 10 * c + 7):
+                grid = np.unique(np.round(np.logspace(1.0, math.log10(s_max), num)))
+                assert np.array_equal(grid, np.arange(10, s_max + 1)), (n, num)
+
+    def test_huge_density_gives_every_integer(self):
+        for n in (250, 7401, 50000):
+            grid = default_scales(n, points_per_decade=10**12)
+            assert np.array_equal(grid.scales, np.arange(10, n // 10 + 1))
+
     def test_validation(self):
         with pytest.raises(DataError):
             ScaleGrid(np.array([4, 4, 5]))
@@ -265,6 +299,33 @@ class TestEstimator:
         via_est = Estimator.dfa(2).fluctuation_matrix(prof, scales)
         direct = dfa_fluctuation_matrix(prof, scales, 2)
         assert np.array_equal(via_est, direct)
+
+
+class TestColumnIndependence:
+    # an ensemble computed on the fitted scales only must match the
+    # whole-grid F the original H is fitted on, column for column
+    MASKS = {
+        "first": np.arange(21) < 15,
+        "last": np.arange(21) >= 6,
+        "middle": (np.arange(21) >= 3) & (np.arange(21) < 18),
+        "odd": np.arange(21) % 2 == 1,
+        "one": np.arange(21) == 9,
+    }
+
+    @pytest.mark.parametrize(
+        "est",
+        [Estimator.dfa(1), Estimator.dfa(2), Estimator.dma(0.0), Estimator.dma(0.5),
+         Estimator.dma(1.0)],
+        ids=lambda e: e.tag,
+    )
+    @pytest.mark.parametrize("mask", sorted(MASKS))
+    def test_subset_columns_bitwise_equal(self, est, mask):
+        rows = np.cumsum(np.random.default_rng(41).standard_normal((6, 1000)), axis=1)
+        scales = default_scales(1000).scales
+        m = self.MASKS[mask]
+        assert len(scales) == len(m)
+        whole = est.fluctuation_matrix(rows, scales)
+        assert np.array_equal(est.fluctuation_matrix(rows, scales[m]), whole[:, m])
 
 
 class TestSingleSeriesWrappers:

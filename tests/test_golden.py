@@ -36,6 +36,10 @@ CASES = {
         "--n-shuffles", "600",
     ],
     "rolling_dfa.csv": ["rolling", "--window", "500", "--step", "97"],
+    "test_cdma_auto_cuts.json": [
+        "test", "--method", "dma", "--theta", "0.5", "--range", "auto",
+        "--cuts", "2002-01-02,2004-06-01", "--n-shuffles", "600",
+    ],
 }
 
 

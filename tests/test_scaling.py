@@ -20,6 +20,7 @@ from wfetest.scaling import (
     fit_power_law,
     slopes_in_range,
 )
+from wfetest.shuffletest import shuffle_exponents
 
 
 def power_law_f(scales, h, amp=1.0, method="DFA", n=4096):
@@ -228,24 +229,26 @@ class TestExponentRelations:
 
 class TestSlopesInRange:
     def test_matches_scalar_fit(self):
+        # every column given is fitted, as fit_power_law fits its whole range
         rng = np.random.default_rng(8)
-        scales = default_scales(2000).scales
+        scales = default_scales(2000).scales[3:17]
         rows = np.exp(rng.standard_normal((5, len(scales))))
-        slopes = slopes_in_range(rows, scales, (15, 150))
+        slopes = slopes_in_range(rows, scales)
         for i in range(5):
             f = FluctuationFunction(scales, rows[i], "DFA", 2000)
-            fit = fit_power_law(f, (15, 150))
+            fit = fit_power_law(f, (int(scales[0]), int(scales[-1])))
             assert slopes[i] == fit.h
 
     @pytest.mark.parametrize("est", [Estimator.dfa(), Estimator.dma(0.5)], ids=["dfa", "cdma"])
     def test_ensemble_rows_bitwise_equal_to_fit(self, est):
-        # the shuffle statistic H_s and the original H come from one fit
+        # H from the whole grid and H_s from the fitted scales only are one fit
         n = 1000
         scales = default_scales(n).scales
         profiles = np.cumsum(np.random.default_rng(11).standard_normal((64, n)), axis=1)
         f_matrix = est.fluctuation_matrix(profiles, scales)
         for s_range in ((int(scales[0]), int(scales[-1])), (int(scales[3]), int(scales[17]))):
-            slopes = slopes_in_range(f_matrix, scales, s_range)
+            fitted = scales[(scales >= s_range[0]) & (scales <= s_range[1])]
+            slopes = slopes_in_range(est.fluctuation_matrix(profiles, fitted), fitted)
             for i, row in enumerate(f_matrix):
                 f = FluctuationFunction(scales, row, est.tag, n)
                 assert slopes[i] == fit_power_law(f, s_range).h
@@ -257,20 +260,18 @@ class TestSlopesInRange:
              [1.0, 0.0, 3.0, 4.0],
              [1.0, np.nan, 3.0, 4.0]]
         )
-        slopes = slopes_in_range(rows, scales, (10, 80))
+        slopes = slopes_in_range(rows, scales)
         assert np.isfinite(slopes[0])
         assert np.isnan(slopes[1]) and np.isnan(slopes[2])
 
-    def test_zero_outside_range_harmless(self):
-        scales = np.array([10, 20, 40, 80])
-        rows = np.array([[0.0, 2.0, 4.0, 8.0]])
-        slopes = slopes_in_range(rows, scales, (20, 80))
-        assert slopes[0] == pytest.approx(1.0, abs=1e-12)
-
     def test_narrow_range_rejected(self):
+        # one range rule: the fit and the shuffle ensemble refuse the same range
         scales = np.array([10, 20, 40, 80])
-        with pytest.raises(InsufficientDataError):
-            slopes_in_range(np.ones((2, 4)), scales, (11, 19))
+        message = r"range \[15, 30\] holds 1 grid point\(s\); need >= 2"
+        with pytest.raises(InsufficientDataError, match=message):
+            fit_power_law(power_law_f(scales, 0.5), (15, 30))
+        with pytest.raises(InsufficientDataError, match=message):
+            shuffle_exponents(np.arange(400.0), Estimator.dfa(), scales, (15, 30), 3, 0)
 
     def test_default_window_constant(self):
         assert DEFAULT_FIT_WINDOW == 15

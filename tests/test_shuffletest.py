@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from wfetest import shuffletest
-from wfetest.detrend import Estimator, ScaleGrid, default_scales
+from wfetest.detrend import Estimator, FluctuationFunction, ScaleGrid, default_scales
 from wfetest.errors import ConfigError, DataError, EstimationError
+from wfetest.scaling import fit_power_law
 from wfetest.shuffletest import (
     DEFAULT_SEED,
     SIGNIFICANCE_LEVEL,
     ShuffleTestResult,
     _chunk_size,
     _ordered_map,
-    _shuffled_slopes_chunk,
+    _shuffled_slopes,
     efficiency_test,
     replicate_rng,
     shuffle_exponents,
@@ -113,9 +114,8 @@ class TestShuffleExponents:
         assert ens.shape == (40,) and redraws == 0
         # replicate i recomputed alone must equal its slot
         for i in (0, 17, 39):
-            alone = _shuffled_slopes_chunk(
-                (self.r.values, Estimator.dfa(), self.grid.scales,
-                 self.range, 9, (), i, 1)
+            alone = _shuffled_slopes(
+                self.r.values, Estimator.dfa(), self.grid.scales, 9, (), range(i, i + 1)
             )[0]
             assert ens[i] == alone
 
@@ -150,6 +150,43 @@ class TestShuffleExponents:
                 self.r.values, Estimator.dfa(), self.grid.scales,
                 self.range, 0, base_seed=1,
             )
+
+    def test_only_fitted_scales_computed(self, monkeypatch):
+        scales = self.grid.scales
+        s_range = (int(scales[3]), int(scales[17]))
+        fitted = scales[(scales >= s_range[0]) & (scales <= s_range[1])]
+        seen = []
+        kernel = Estimator.fluctuation_matrix
+
+        def spy(est, profiles, grid_scales):
+            seen.append(np.array(grid_scales))
+            return kernel(est, profiles, grid_scales)
+
+        monkeypatch.setattr(Estimator, "fluctuation_matrix", spy)
+        ens, _ = shuffle_exponents(
+            self.r.values, Estimator.dfa(), scales, s_range, 20, base_seed=3
+        )
+        assert seen and all(np.array_equal(s, fitted) for s in seen)
+        # the original H and each H_s are the same fit over the same range
+        perm = replicate_rng(3, 7).permutation(self.r.values)
+        f = Estimator.dfa().fluctuation_matrix(np.cumsum(perm - perm.mean()), scales)[0]
+        assert ens[7] == fit_power_law(FluctuationFunction(scales, f, "DFA", 1200), s_range).h
+
+    def test_zero_outside_range_harmless(self):
+        # F = 0 below the range would make a whole-grid fit degenerate
+        class ZeroBelow20:
+            tag = "stub"
+
+            def fluctuation_matrix(self, profiles, scales):
+                f = np.where(scales < 20, 0.0, scales.astype(float))
+                return np.tile(f, (len(profiles), 1))
+
+        scales = np.array([10, 20, 40, 80])
+        ens, redraws = shuffle_exponents(
+            np.arange(400.0), ZeroBelow20(), scales, (20, 80), 5, base_seed=1
+        )
+        assert redraws == 0
+        assert ens == pytest.approx(np.ones(5), abs=1e-12)
 
 
 class TestEfficiencyTest:

@@ -148,6 +148,9 @@ class TestGenerateFgn:
             FgnSpec(n=100, hurst=1.0, seed=0)
         with pytest.raises(DataError):
             FgnSpec(n=100, hurst=0.5, seed=0, sigma=0.0)
+        for sigma in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(DataError, match="sigma"):
+                FgnSpec(n=100, hurst=0.5, seed=0, sigma=sigma)
 
 
 class TestSyntheticPrices:
