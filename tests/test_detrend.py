@@ -20,6 +20,7 @@ from wfetest.errors import (
     InsufficientDataError,
     ScaleRangeError,
 )
+from wfetest.shuffletest import replicate_rng
 from wfetest.timeseries import Profile
 
 
@@ -55,6 +56,34 @@ def dfa_reference(prof, scales, order):
                 sq.append(((seg - np.polyval(coef, t)) ** 2).mean())
         out.append(math.sqrt(np.mean(sq)))
     return np.array(out)
+
+
+def dfa1_longdouble_reference(prof, scales):
+    """DFA-1 in extended precision: each box projected onto {1, t} explicitly.
+
+    Centring the box and its abscissa makes the two basis vectors
+    orthogonal, so the residual is formed directly, never as a difference
+    of accumulated moments.  Returns longdouble F, shape (rows, scales).
+    """
+    prof = np.atleast_2d(prof).astype(np.longdouble)
+    rows, n = prof.shape
+    out = np.empty((rows, len(scales)), dtype=np.longdouble)
+    for j, s in enumerate(scales):
+        s = int(s)
+        k = n // s
+        boxes = np.concatenate(
+            [prof[:, : k * s].reshape(rows, k, s), prof[:, n - k * s :].reshape(rows, k, s)],
+            axis=1,
+        )
+        t = np.arange(s, dtype=np.longdouble) - np.longdouble(s - 1) / 2
+        centred = boxes - boxes.mean(axis=2, keepdims=True)
+        resid = centred - ((centred @ t) / (t @ t))[..., None] * t
+        out[:, j] = np.sqrt(np.mean(resid * resid, axis=(1, 2)))
+    return out
+
+
+def max_relative_error(fast, ref):
+    return float(np.max(np.abs((fast - ref) / ref)))
 
 
 class TestWindowSplit:
@@ -193,6 +222,39 @@ class TestDfaOracles:
     def test_order_below_one_rejected(self):
         with pytest.raises(DataError):
             dfa_fluctuation_matrix(np.arange(100.0), [4], 0)
+
+
+class TestDfaPrecision:
+    N = 7400
+
+    def test_bridge_rows_match_extended_precision(self):
+        # shuffled-return profiles, as the shuffle test builds them
+        returns = np.random.default_rng(6).standard_t(3, self.N) * 0.01
+        rows = np.empty((32, self.N))
+        for i, row in enumerate(rows):
+            perm = replicate_rng(53, i).permutation(returns)
+            row[:] = np.cumsum(perm - perm.mean())
+        scales = default_scales(self.N).scales
+        assert len(scales) == 39
+        fast = dfa_fluctuation_matrix(rows, scales, 1)
+        assert max_relative_error(fast, dfa1_longdouble_reference(rows, scales)) <= 1e-14
+
+    def test_tent_profile_conditioning(self):
+        # a regime shift in the mean return: the profile climbs to about
+        # 3,700 and falls back while the residuals are about 1e-3 * sqrt(s)
+        rng = np.random.default_rng(7)
+        drift = np.where(np.arange(self.N) < self.N // 2, 1.0, -1.0)
+        tent = np.cumsum(drift + 1e-3 * rng.standard_normal(self.N))
+        scales = default_scales(self.N).scales
+        fast = dfa_fluctuation_matrix(tent, scales, 1)
+        assert max_relative_error(fast, dfa1_longdouble_reference(tent, scales)) <= 1e-11
+
+    def test_rows_across_blocks_equal_single_rows(self):
+        rows = np.cumsum(np.random.default_rng(8).standard_normal((40, self.N)), axis=1)
+        scales = default_scales(self.N).scales
+        batch = dfa_fluctuation_matrix(rows, scales, 1)
+        for i in (0, 9, 39):
+            assert np.array_equal(batch[i], dfa_fluctuation_matrix(rows[i], scales, 1)[0])
 
 
 class TestScaleGrid:
