@@ -14,7 +14,10 @@ contribute, and F(s) is normalized by the count of those indices.
 DFA fits a least-squares polynomial of a given order in non-overlapping
 boxes of length s, covering the series once from the first point and
 once from the last point backward; every box's residuals enter the RMS,
-so points covered twice contribute twice.
+so points covered twice contribute twice.  The boxes are reshaped views
+of the profile, detrended a block of rows at a time in one reused
+buffer; every box's residual sum is computed the same way whatever rows
+share its block, so a row's F never depends on the batch around it.
 
 All kernels accept a batch of profiles as a 2-d array and treat rows
 independently; the single-series operations are the one-row case, so
@@ -36,6 +39,10 @@ from .timeseries import Profile
 MIN_GRID_POINTS = 16
 
 DMA_MIN_SCALE = 3
+
+# DFA works through the rows in blocks of about this many profile
+# cells (512 kB of float64), so each block's residuals stay in cache
+DFA_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -219,26 +226,26 @@ def dfa_fluctuation_matrix(
     scales = np.asarray(scales, dtype=np.int64)
     _check_scales(scales, n, order + 2)
 
+    block = max(1, DFA_BLOCK_CELLS // n)
     out = np.empty((rows, len(scales)), dtype=np.float64)
     for j, s in enumerate(scales):
         s = int(s)
         k = n // s
-        boxes = np.concatenate(
-            [
-                profiles[:, : k * s].reshape(rows, k, s),
-                profiles[:, n - k * s :].reshape(rows, k, s),
-            ],
-            axis=1,
-        )
         # local abscissa scaled to [-1, 1] keeps the fit well conditioned
         t = np.arange(s, dtype=np.float64) - (s - 1) / 2.0
         design = np.vander(t / t[-1], order + 1, increasing=True)
         pinv_t = np.linalg.pinv(design).T
-        coef = boxes @ pinv_t
-        resid = boxes - coef @ design.T
-        out[:, j] = np.sqrt(
-            np.mean(np.square(resid).reshape(rows, 2 * k * s), axis=1)
-        )
+        box_ss = np.empty((rows, 2, k), dtype=np.float64)
+        buf = np.empty((min(block, rows), k, s), dtype=np.float64)
+        for r0 in range(0, rows, block):
+            part = profiles[r0 : r0 + block]
+            res = buf[: len(part)]
+            for cover, start in enumerate((0, n - k * s)):
+                boxes = part[:, start : start + k * s].reshape(len(part), k, s)
+                np.matmul(boxes @ pinv_t, design.T, out=res)
+                np.subtract(boxes, res, out=res)
+                box_ss[r0 : r0 + block, cover] = np.einsum("rks,rks->rk", res, res)
+        out[:, j] = np.sqrt(box_ss.reshape(rows, 2 * k).sum(axis=1) / (2 * k * s))
     return out
 
 
