@@ -42,6 +42,8 @@ class FgnSpec:
             raise DataError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.sigma < np.inf:
             raise DataError(f"sigma must be finite and > 0, got {self.sigma}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def fgn_autocovariance(

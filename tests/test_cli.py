@@ -66,6 +66,12 @@ class TestSynthCommand:
         assert "error: sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_fails_without_artifact(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("synth", "--hurst", 0.5, "--seed", -1, "-o", out) == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_json_artifact_recovers_h(self, tmp_path, capsys):
@@ -215,6 +221,14 @@ class TestTestCommand:
             assert "error: worker count must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    def test_negative_seed_fails_without_artifact(self, tmp_path, capsys):
+        prices = synth_prices(tmp_path, n=500)
+        capsys.readouterr()
+        out = tmp_path / "t.json"
+        assert run("test", "-i", prices, "--seed", -1, "--n-shuffles", 10, "-o", out) == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_include_ensemble(self, tmp_path):
         prices = synth_prices(tmp_path, n=500)
         out = tmp_path / "t.json"
@@ -267,6 +281,17 @@ class TestRollingCommand:
         prices = synth_prices(tmp_path, n=400)
         out = tmp_path / "roll.csv"
         assert run("rolling", "-i", prices, "--window", 100000, "-o", out) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_negative_seed_fails_without_artifact(self, tmp_path, capsys, threads):
+        prices = synth_prices(tmp_path, n=600)
+        capsys.readouterr()
+        out = tmp_path / "roll.csv"
+        assert run("rolling", "-i", prices, "--window", 250, "--step", 150,
+                   "--n-shuffles", 10, "--seed", -1, "--threads", threads,
+                   "-o", out) == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
 

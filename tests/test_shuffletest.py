@@ -151,6 +151,15 @@ class TestShuffleExponents:
                 self.range, 0, base_seed=1,
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            shuffle_exponents(
+                self.r.values, Estimator.dfa(), self.grid.scales,
+                self.range, 10, base_seed=-1,
+            )
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            efficiency_test(self.r, Estimator.dfa(), n_replicates=10, seed=-5)
+
     def test_only_fitted_scales_computed(self, monkeypatch):
         scales = self.grid.scales
         s_range = (int(scales[3]), int(scales[17]))

@@ -151,6 +151,8 @@ class TestGenerateFgn:
         for sigma in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(DataError, match="sigma"):
                 FgnSpec(n=100, hurst=0.5, seed=0, sigma=sigma)
+        with pytest.raises(DataError, match="seed"):
+            FgnSpec(n=100, hurst=0.5, seed=-1)
 
 
 class TestSyntheticPrices:
