@@ -126,12 +126,6 @@ def replicate_rng(
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a base seed that SeedSequence cannot take."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
 def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
     """Fraction of the ensemble strictly farther from its mean than h is."""
     e = np.asarray(ensemble, dtype=np.float64)
@@ -191,7 +185,8 @@ def shuffle_exponents(
     """
     if n_replicates < 1:
         raise DataError("n_replicates must be >= 1")
-    _check_seed(base_seed)
+    if base_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {base_seed}")
     values = np.asarray(values, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.int64)
     slopes = partial(
@@ -241,7 +236,6 @@ def efficiency_test(
     ``window_len`` grid points).  Shuffled replicates always reuse the
     original series' scaling range.
     """
-    _check_seed(seed)
     if grid is None:
         grid = default_scales(len(r.values))
     _, fit = estimate(profile(r), grid, est, range_policy, window_len)
