@@ -153,6 +153,10 @@ def _add_range_options(sub: argparse.ArgumentParser, default: str) -> None:
         help=f"scaling range: whole grid or minimal-residual window "
         f"(default {default})",
     )
+    _add_window_len_option(sub)
+
+
+def _add_window_len_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--window-len",
         type=int,
@@ -381,11 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-shuffles", type=int, default=1000,
         help="shuffle replicates per window (default 1000)",
     )
-    p.add_argument(
-        "--window-len", type=int, default=DEFAULT_FIT_WINDOW,
-        help="grid points in the range-search window (default "
-        f"{DEFAULT_FIT_WINDOW})",
-    )
+    _add_window_len_option(p)
     p.set_defaults(func=cmd_rolling)
 
     p = subs.add_parser(

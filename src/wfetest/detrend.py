@@ -92,15 +92,6 @@ class FluctuationFunction:
     def __len__(self) -> int:
         return len(self.scales)
 
-    def to_json_dict(self, *, ndigits: int | None = None) -> dict:
-        f = self.f if ndigits is None else np.round(self.f, ndigits)
-        return {
-            "method": self.method,
-            "n": self.n,
-            "scales": [int(s) for s in self.scales],
-            "F": [float(v) for v in f],
-        }
-
 
 @dataclass(frozen=True)
 class Estimator:

@@ -4,8 +4,8 @@ Each window of ``window_size`` consecutive returns gets the whole
 treatment: profile, fluctuation function on a grid built for the window
 length, minimal-residual scaling-range search over a fixed number of
 grid points, exponent fit, and a shuffle ensemble over the SAME range.
-The result row carries the window's H against the ensemble's 2.5/97.5%
-band and a flag for where H falls relative to it.
+The result row is the window's whole shuffle test; its flag says where
+H falls against the ensemble's 2.5/97.5% band.
 
 Windows are independent work units.  Replicate seeds mix the base seed
 with the window's start index, so any single window recomputes in
@@ -22,9 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .detrend import Estimator, ScaleGrid, default_scales
-from .errors import ConfigError, DataError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 from .scaling import DEFAULT_FIT_WINDOW
-from .shuffletest import DEFAULT_SEED, _ordered_map, efficiency_test
+from .shuffletest import DEFAULT_SEED, ShuffleTestResult, _ordered_map, efficiency_test
 from .timeseries import ReturnSeries
 
 WINDOW_CSV_HEADER = "end_date,H,q025,q975,flag,s_lo,s_hi"
@@ -32,25 +32,18 @@ WINDOW_CSV_HEADER = "end_date,H,q025,q975,flag,s_lo,s_hi"
 
 @dataclass(frozen=True)
 class WindowResult:
-    """One window's exponent against its shuffle quantile band."""
+    """One window's shuffle test, dated by the window's last return."""
 
     end_date: np.datetime64
-    h: float
-    q025: float
-    q975: float
-    s_lo: int
-    s_hi: int
-
-    def __post_init__(self):
-        if self.q025 > self.q975:
-            raise DataError("q025 must not exceed q975")
+    result: ShuffleTestResult
 
     @property
     def flag(self) -> str:
         """Where H lies against the band; the band edges count as inside."""
-        if self.h < self.q025:
+        res = self.result
+        if res.h < res.q025:
             return "below"
-        if self.h > self.q975:
+        if res.h > res.q975:
             return "above"
         return "inside"
 
@@ -59,9 +52,10 @@ class WindowResult:
         return self.flag != "inside"
 
     def csv_row(self) -> str:
+        res = self.result
         return (
-            f"{self.end_date},{float(self.h)!r},{float(self.q025)!r},"
-            f"{float(self.q975)!r},{self.flag},{int(self.s_lo)},{int(self.s_hi)}"
+            f"{self.end_date},{float(res.h)!r},{res.q025!r},{res.q975!r},"
+            f"{self.flag},{int(res.s_lo)},{int(res.s_hi)}"
         )
 
 
@@ -86,8 +80,6 @@ def window_result(
             f"window [{start}, {start + window_size}) outside the "
             f"{len(r.values)} available returns"
         )
-    if grid is None:
-        grid = default_scales(window_size)
     sub = ReturnSeries(
         r.dates[start : start + window_size],
         r.values[start : start + window_size],
@@ -102,14 +94,7 @@ def window_result(
         seed=seed,
         spawn_prefix=(start,),
     )
-    return WindowResult(
-        end_date=sub.dates[-1],
-        h=res.h,
-        q025=res.q025,
-        q975=res.q975,
-        s_lo=res.s_lo,
-        s_hi=res.s_hi,
-    )
+    return WindowResult(sub.dates[-1], res)
 
 
 def rolling_analysis(

@@ -21,7 +21,7 @@ ensemble) and the redraw count is reported.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
@@ -58,6 +58,11 @@ class ShuffleTestResult:
             self.q025 <= self.mean_hs <= self.q975
         ):
             raise DataError("ensemble mean outside its own 2.5/97.5% band")
+
+    def __reduce__(self):
+        # unpickle through the constructor: the ensemble comes back
+        # read-only and checked, and no cached statistic is carried over
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_replicates(self) -> int:

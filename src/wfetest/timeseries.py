@@ -229,8 +229,6 @@ def load_prices(
 
 def log_returns(p: PriceSeries) -> ReturnSeries:
     """r[t] = ln(price[t+1]) - ln(price[t]), dated by the later day."""
-    if len(p) < 2:
-        raise InsufficientDataError("need at least 2 prices for returns")
     values = np.diff(np.log(p.prices))
     return ReturnSeries(p.dates[1:], values)
 

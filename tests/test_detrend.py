@@ -433,15 +433,3 @@ class TestFluctuationFunction:
             FluctuationFunction(
                 np.array([4, 8]), np.array([1.0, np.nan]), "DFA", 100
             )
-
-    def test_json_dict(self):
-        f = FluctuationFunction(
-            np.array([4, 8]), np.array([1.25, 2.5]), "BDMA", 64
-        )
-        d = f.to_json_dict()
-        assert d == {
-            "method": "BDMA",
-            "n": 64,
-            "scales": [4, 8],
-            "F": [1.25, 2.5],
-        }

@@ -1,16 +1,19 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfetest.detrend import Estimator, default_scales
-from wfetest.errors import ConfigError, DataError
+from wfetest.errors import ConfigError
 from wfetest.rolling import (
     WINDOW_CSV_HEADER,
     WindowResult,
     rolling_analysis,
     window_result,
 )
+from wfetest.shuffletest import ShuffleTestResult
 from wfetest.synth import FgnSpec, generate_fgn, synthetic_prices
 from wfetest.timeseries import log_returns
 
@@ -22,15 +25,34 @@ def make_returns(n_returns, hurst=0.5, seed=13, sigma=0.01):
     return log_returns(synthetic_prices(vals))
 
 
+def band_ensemble(q025, q975):
+    # 41 replicates: np.quantile puts the 2.5% and 97.5% points exactly on
+    # the second and the second-to-last sorted values
+    return np.array([q025 - 0.05, q025] + [0.5] * 37 + [q975, q975 + 0.05])
+
+
+def rows_as_dicts(rows):
+    """Everything a row holds: its end date and its whole test result."""
+    return [
+        (row.end_date, row.result.to_json_dict(include_ensemble=True))
+        for row in rows
+    ]
+
+
 class TestWindowResult:
-    def make(self, h=0.5, q025=0.45, q975=0.55, s_lo=10, s_hi=100):
-        return WindowResult(
-            end_date=np.datetime64("2001-01-01"), h=h, q025=q025,
-            q975=q975, s_lo=s_lo, s_hi=s_hi,
+    def make(self, h=0.5, q025=0.45, q975=0.55):
+        res = ShuffleTestResult(
+            method="DFA-1", h=h, ensemble=band_ensemble(q025, q975), seed=7,
+            s_lo=10, s_hi=100,
         )
+        assert (res.q025, res.q975) == (q025, q975)
+        return WindowResult(np.datetime64("2001-01-01"), res)
+
+    def test_holds_only_end_date_and_result(self):
+        assert [f.name for f in fields(WindowResult)] == ["end_date", "result"]
 
     def test_flag_consistency_enforced(self):
-        # the flag derives from H and the band, so it cannot disagree
+        # the flag derives from the result's H and band, so it cannot disagree
         assert self.make().flag == "inside"
         assert self.make(h=0.40).flag == "below"
         assert self.make(h=0.60).flag == "above"
@@ -39,22 +61,22 @@ class TestWindowResult:
         assert self.make(h=0.45).flag == "inside"
         assert self.make(h=0.55).flag == "inside"
 
-    def test_quantile_order_enforced(self):
-        with pytest.raises(DataError):
-            self.make(q025=0.6, q975=0.4)
-
     def test_outside_property(self):
         assert not self.make().outside
         assert self.make(h=0.40).outside
+        assert self.make(h=0.60).outside
 
     def test_csv_row_matches_header(self):
-        row = self.make().csv_row()
-        fields = row.split(",")
-        assert len(fields) == len(WINDOW_CSV_HEADER.split(","))
-        assert fields[0] == "2001-01-01"
-        assert float(fields[1]) == 0.5
-        assert fields[4] == "inside"
-        assert fields[5] == "10" and fields[6] == "100"
+        # values whose repr needs 16-17 significant digits, so rounding shows
+        row = self.make(
+            h=np.float64(0.1 + 0.7), q025=0.1 + 0.2, q975=1 - 1 / 7
+        ).csv_row()
+        cols = row.split(",")
+        assert len(cols) == len(WINDOW_CSV_HEADER.split(","))
+        assert cols[0] == "2001-01-01"
+        assert cols[1:4] == [repr(0.1 + 0.7), repr(0.1 + 0.2), repr(1 - 1 / 7)]
+        assert cols[4] == "inside"
+        assert cols[5] == "10" and cols[6] == "100"
 
 
 class TestRollingAnalysis:
@@ -75,8 +97,8 @@ class TestRollingAnalysis:
         r = make_returns(400)
         rows = rolling_analysis(r, window_size=400, step=1, n_shuffles=10)
         scales = default_scales(400).scales
-        row = rows[0]
-        count = int(np.sum((scales >= row.s_lo) & (scales <= row.s_hi)))
+        res = rows[0].result
+        count = int(np.sum((scales >= res.s_lo) & (scales <= res.s_hi)))
         assert count == 15
 
     def test_single_window_isolation(self):
@@ -88,7 +110,7 @@ class TestRollingAnalysis:
             alone = window_result(
                 r, start, 250, Estimator.dfa(), n_shuffles=40, seed=5
             )
-            assert alone == rows[k]
+            assert rows_as_dicts([alone]) == rows_as_dicts([rows[k]])
 
     def test_truncation_leaves_early_windows_unchanged(self):
         vals = generate_fgn(FgnSpec(n=520, hurst=0.5, seed=4, sigma=0.01))
@@ -101,13 +123,20 @@ class TestRollingAnalysis:
             step=60, n_shuffles=30,
         )
         assert len(short) >= 2
-        assert short == full[: len(short)]
+        assert rows_as_dicts(short) == rows_as_dicts(full[: len(short)])
 
     def test_workers_do_not_change_results(self):
         r = make_returns(380)
         a = rolling_analysis(r, window_size=250, step=40, n_shuffles=25)
         b = rolling_analysis(r, window_size=250, step=40, n_shuffles=25, workers=2)
-        assert a == b
+        assert rows_as_dicts(a) == rows_as_dicts(b)
+        # results pickled back from a worker are rebuilt by the constructor
+        assert len(b) > 1
+        for row in b:
+            ensemble = row.result.ensemble
+            assert not ensemble.flags.writeable
+            with pytest.raises(ValueError):
+                ensemble[0] = 0.0
 
     def test_progress_reported(self):
         r = make_returns(320)
