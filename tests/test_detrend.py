@@ -82,6 +82,34 @@ def dfa1_longdouble_reference(prof, scales):
     return out
 
 
+def dma_longdouble_reference(prof, scales, theta):
+    """DMA in extended precision: prefix, window sums and residuals.
+
+    Returns longdouble F, shape (rows, scales).
+    """
+    prof = np.atleast_2d(prof).astype(np.longdouble)
+    rows, n = prof.shape
+    prefix = np.zeros((rows, n + 1), dtype=np.longdouble)
+    np.cumsum(prof, axis=1, out=prefix[:, 1:])
+    out = np.empty((rows, len(scales)), dtype=np.longdouble)
+    for j, s in enumerate(scales):
+        s = int(s)
+        past, future = _window_split(s, theta)
+        resid = prof[:, past : n - future] - (prefix[:, s:] - prefix[:, :-s]) / s
+        out[:, j] = np.sqrt(np.mean(resid * resid, axis=1))
+    return out
+
+
+def shuffled_bridge_rows(n, count=32):
+    """Profiles of shuffled heavy-tailed returns, as the shuffle test builds them."""
+    returns = np.random.default_rng(6).standard_t(3, n) * 0.01
+    rows = np.empty((count, n))
+    for i, row in enumerate(rows):
+        perm = replicate_rng(53, i).permutation(returns)
+        row[:] = np.cumsum(perm - perm.mean())
+    return rows
+
+
 def max_relative_error(fast, ref):
     return float(np.max(np.abs((fast - ref) / ref)))
 
@@ -228,12 +256,7 @@ class TestDfaPrecision:
     N = 7400
 
     def test_bridge_rows_match_extended_precision(self):
-        # shuffled-return profiles, as the shuffle test builds them
-        returns = np.random.default_rng(6).standard_t(3, self.N) * 0.01
-        rows = np.empty((32, self.N))
-        for i, row in enumerate(rows):
-            perm = replicate_rng(53, i).permutation(returns)
-            row[:] = np.cumsum(perm - perm.mean())
+        rows = shuffled_bridge_rows(self.N)
         scales = default_scales(self.N).scales
         assert len(scales) == 39
         fast = dfa_fluctuation_matrix(rows, scales, 1)
@@ -255,6 +278,45 @@ class TestDfaPrecision:
         batch = dfa_fluctuation_matrix(rows, scales, 1)
         for i in (0, 9, 39):
             assert np.array_equal(batch[i], dfa_fluctuation_matrix(rows[i], scales, 1)[0])
+
+
+class TestDmaPrecision:
+    N = 7400
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_bridge_rows_match_extended_precision(self, theta):
+        rows = shuffled_bridge_rows(self.N)
+        scales = default_scales(self.N).scales
+        assert len(scales) == 39
+        fast = dma_fluctuation_matrix(rows, scales, theta)
+        ref = dma_longdouble_reference(rows, scales, theta)
+        assert max_relative_error(fast, ref) <= 1e-14
+
+    # A ramp far from zero makes the prefix sums reach about 1e8, so a
+    # float64 prefix loses about eps * 1e8 in every window sum.  Centred
+    # windows cancel the ramp, leaving residuals of the noise's size, so
+    # CDMA shows the loss most.  Longdouble-prefix errors (measured) vs a
+    # float64 prefix: CDMA 1.8e-11 vs 6.5e-9 (noise 1e-3) and 2.2e-8 vs
+    # 5.3e-6 (noise 1e-6); BDMA and FDMA at most 4.4e-15 vs 4.6e-12.
+    @pytest.mark.parametrize(
+        "theta, noise, gate",
+        [(0.5, 1e-3, 1e-10), (0.5, 1e-6, 1e-7), (0.0, 1e-3, 1e-13),
+         (0.0, 1e-6, 1e-13), (1.0, 1e-3, 1e-13), (1.0, 1e-6, 1e-13)],
+    )
+    def test_long_non_integer_ramp(self, theta, noise, gate):
+        t = np.arange(self.N)
+        ramp = 1e4 + 0.7318 * t + noise * np.random.default_rng(9).standard_normal(self.N)
+        scales = default_scales(self.N).scales
+        fast = dma_fluctuation_matrix(ramp, scales, theta)
+        assert max_relative_error(fast, dma_longdouble_reference(ramp, scales, theta)) <= gate
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_rows_across_blocks_equal_single_rows(self, theta):
+        rows = np.cumsum(np.random.default_rng(8).standard_normal((40, self.N)), axis=1)
+        scales = default_scales(self.N).scales
+        batch = dma_fluctuation_matrix(rows, scales, theta)
+        for i in (0, 9, 39):
+            assert np.array_equal(batch[i], dma_fluctuation_matrix(rows[i], scales, theta)[0])
 
 
 class TestScaleGrid:
