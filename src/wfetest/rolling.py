@@ -80,12 +80,25 @@ def window_result(
             f"window [{start}, {start + window_size}) outside the "
             f"{len(r.values)} available returns"
         )
-    sub = ReturnSeries(
-        r.dates[start : start + window_size],
-        r.values[start : start + window_size],
+    return _window_test(
+        _window_job(r, start, window_size), est, grid, window_len, n_shuffles, seed
     )
+
+
+def _window_job(r: ReturnSeries, start: int, window_size: int) -> tuple:
+    # a job carries its own window only: a worker is sent these slices,
+    # never the whole series
+    stop = start + window_size
+    return start, r.dates[start:stop], r.values[start:stop]
+
+
+def _window_test(
+    job: tuple, est: Estimator, grid: ScaleGrid | None, window_len: int,
+    n_shuffles: int, seed: int,
+) -> WindowResult:
+    start, dates, values = job
     res = efficiency_test(
-        sub,
+        ReturnSeries(dates, values),
         est,
         grid=grid,
         range_policy="auto",
@@ -94,7 +107,7 @@ def window_result(
         seed=seed,
         spawn_prefix=(start,),
     )
-    return WindowResult(sub.dates[-1], res)
+    return WindowResult(dates[-1], res)
 
 
 def rolling_analysis(
@@ -129,14 +142,17 @@ def rolling_analysis(
             f"size {window_size}"
         )
 
-    starts = range(0, len(r.values) - window_size + 1, step)
-    job = partial(
-        window_result, r, window_size=window_size, est=est, grid=grid,
-        window_len=window_len, n_shuffles=n_shuffles, seed=seed,
+    jobs = [
+        _window_job(r, start, window_size)
+        for start in range(0, len(r.values) - window_size + 1, step)
+    ]
+    test = partial(
+        _window_test, est=est, grid=grid, window_len=window_len,
+        n_shuffles=n_shuffles, seed=seed,
     )
     results: list[WindowResult] = []
-    for res in _ordered_map(job, starts, workers):
+    for res in _ordered_map(test, jobs, workers):
         results.append(res)
         if progress is not None:
-            progress(len(results), len(starts))
+            progress(len(results), len(jobs))
     return results

@@ -1,3 +1,4 @@
+import copyreg
 from dataclasses import fields
 
 import numpy as np
@@ -137,6 +138,22 @@ class TestRollingAnalysis:
             assert not ensemble.flags.writeable
             with pytest.raises(ValueError):
                 ensemble[0] = 0.0
+
+    def test_workers_are_sent_only_their_windows(self, monkeypatch):
+        # count the float64 values pickled for the workers: each window
+        # should ship its own returns, not the whole series
+        sent = []
+
+        def counting_reduce(arr):
+            if arr.dtype == np.float64:
+                sent.append(arr.size)
+            return arr.__reduce__()
+
+        monkeypatch.setitem(copyreg.dispatch_table, np.ndarray, counting_reduce)
+        r = make_returns(380)
+        rows = rolling_analysis(r, window_size=250, step=40, n_shuffles=5, workers=2)
+        assert len(rows) == 4
+        assert sent == [250] * 4
 
     def test_progress_reported(self):
         r = make_returns(320)
