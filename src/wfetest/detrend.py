@@ -9,19 +9,24 @@ position parameter theta in [0, 1]: the window at index i covers
 ceil((s-1)*(1-theta)) points in the past and floor((s-1)*theta) points
 in the future, so theta=0 is the backward average, theta=0.5 centered,
 theta=1 forward.  Only indices whose full window lies inside the series
-contribute, and F(s) is normalized by the count of those indices.
+contribute, and F(s) is normalized by the count of those indices.  The
+window sums are differences of a prefix sum that is accumulated in
+longdouble once per block of rows and stored as a float64 pair
+hi + lo, so every scale runs in float64 at the extended prefix's
+precision.
 
 DFA fits a least-squares polynomial of a given order in non-overlapping
 boxes of length s, covering the series once from the first point and
 once from the last point backward; every box's residuals enter the RMS,
 so points covered twice contribute twice.  The boxes are reshaped views
 of the profile, detrended a block of rows at a time in one reused
-buffer; every box's residual sum is computed the same way whatever rows
-share its block, so a row's F never depends on the batch around it.
+buffer.
 
-All kernels accept a batch of profiles as a 2-d array and treat rows
-independently; the single-series operations are the one-row case, so
-every caller shares one numerical path.
+Both kernels accept a batch of profiles as a 2-d array and treat rows
+independently: a row's F is computed the same way whatever rows share
+its block, so it never depends on the batch around it.  The
+single-series operations are the one-row case, so every caller shares
+one numerical path.
 """
 
 from __future__ import annotations
@@ -189,8 +194,9 @@ def dma_fluctuation_matrix(
     hi + lo, so every scale runs in float64 and each window sum keeps
     the extended prefix's precision.  A plain float64 prefix is off by
     about eps * |prefix| in every window: on a ramp of slope 0.7318 from
-    1e4 (n = 7,400) with 1e-3 noise, CDMA's F moves 6.5e-9 relative
-    against 1.8e-11 with this kernel (``tests/test_detrend.py``).
+    1e4 (n = 7,400) with 1e-3 noise, its CDMA F is 6.5e-9 off a
+    longdouble reference, against 1.8e-11 for this kernel
+    (``tests/test_detrend.py``).
     """
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
     rows, n = profiles.shape
