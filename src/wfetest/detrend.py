@@ -189,14 +189,12 @@ def dma_fluctuation_matrix(
 ) -> np.ndarray:
     """F(s) for each profile row; returns shape (rows, len(scales)).
 
-    Moving-window sums are differences of a prefix sum accumulated in
-    longdouble once per block of rows and stored as a float64 pair
-    hi + lo, so every scale runs in float64 and each window sum keeps
-    the extended prefix's precision.  A plain float64 prefix is off by
-    about eps * |prefix| in every window: on a ramp of slope 0.7318 from
-    1e4 (n = 7,400) with 1e-3 noise, its CDMA F is 6.5e-9 off a
-    longdouble reference, against 1.8e-11 for this kernel
-    (``tests/test_detrend.py``).
+    A window sum is (hi[s:] - hi[:-s]) + (lo[s:] - lo[:-s]), where
+    hi + lo is the row block's longdouble prefix sum held exactly in two
+    float64 arrays.  A plain float64 prefix would be off by about
+    eps * |prefix| in every window: on a ramp of slope 0.7318 from 1e4
+    (n = 7,400) with 1e-3 noise, its CDMA F is 6.5e-9 off a longdouble
+    reference, against 1.8e-11 for this kernel (``tests/test_detrend.py``).
     """
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
     rows, n = profiles.shape
@@ -205,8 +203,6 @@ def dma_fluctuation_matrix(
 
     block = min(rows, max(1, BLOCK_CELLS // n))
     prefix = np.zeros((block, n + 1), dtype=np.longdouble)
-    hi = np.empty((block, n + 1), dtype=np.float64)
-    lo = np.empty((block, n + 1), dtype=np.float64)
     win = np.empty((block, n), dtype=np.float64)
     win_lo = np.empty((block, n), dtype=np.float64)
     out = np.empty((rows, len(scales)), dtype=np.float64)
@@ -214,15 +210,15 @@ def dma_fluctuation_matrix(
         part = profiles[r0 : r0 + block]
         m = len(part)
         np.cumsum(part, axis=1, dtype=np.longdouble, out=prefix[:m, 1:])
-        hi[:m] = prefix[:m]
-        lo[:m] = prefix[:m] - hi[:m]
+        hi = prefix[:m].astype(np.float64)
+        lo = (prefix[:m] - hi).astype(np.float64)
         for j, s in enumerate(scales):
             s = int(s)
             past, future = _window_split(s, theta)
             resid = win[:m, : n + 1 - s]
             resid_lo = win_lo[:m, : n + 1 - s]
-            np.subtract(hi[:m, s:], hi[:m, :-s], out=resid)
-            np.subtract(lo[:m, s:], lo[:m, :-s], out=resid_lo)
+            np.subtract(hi[:, s:], hi[:, :-s], out=resid)
+            np.subtract(lo[:, s:], lo[:, :-s], out=resid_lo)
             np.add(resid, resid_lo, out=resid)
             np.divide(resid, s, out=resid)
             np.subtract(part[:, past : n - future], resid, out=resid)

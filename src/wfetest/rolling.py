@@ -97,8 +97,9 @@ def _window_test(
     n_shuffles: int, seed: int,
 ) -> WindowResult:
     start, dates, values = job
+    sub = ReturnSeries(dates, values)
     res = efficiency_test(
-        ReturnSeries(dates, values),
+        sub,
         est,
         grid=grid,
         range_policy="auto",
@@ -107,7 +108,7 @@ def _window_test(
         seed=seed,
         spawn_prefix=(start,),
     )
-    return WindowResult(dates[-1], res)
+    return WindowResult(sub.dates[-1], res)
 
 
 def rolling_analysis(
