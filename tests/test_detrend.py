@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfetest.detrend import (
+    BLOCK_CELLS,
     Estimator,
     FluctuationFunction,
     ScaleGrid,
@@ -282,15 +283,18 @@ class TestDfaPrecision:
 
 class TestDmaPrecision:
     N = 7400
+    # the shortest segment of the paper's Gulf/Iraq sub-series split
+    SEGMENT_N = 1455
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     def test_bridge_rows_match_extended_precision(self, theta):
-        rows = shuffled_bridge_rows(self.N)
-        scales = default_scales(self.N).scales
-        assert len(scales) == 39
-        fast = dma_fluctuation_matrix(rows, scales, theta)
-        ref = dma_longdouble_reference(rows, scales, theta)
-        assert max_relative_error(fast, ref) <= 1e-14
+        for n, n_scales in ((self.N, 39), (self.SEGMENT_N, 25)):
+            rows = shuffled_bridge_rows(n)
+            scales = default_scales(n).scales
+            assert len(scales) == n_scales
+            fast = dma_fluctuation_matrix(rows, scales, theta)
+            ref = dma_longdouble_reference(rows, scales, theta)
+            assert max_relative_error(fast, ref) <= 1e-14, n
 
     # A ramp far from zero makes the prefix sums reach about 1e8, so a
     # float64 prefix loses about eps * 1e8 in every window sum.  Centred
@@ -304,19 +308,41 @@ class TestDmaPrecision:
          (0.0, 1e-6, 1e-13), (1.0, 1e-3, 1e-13), (1.0, 1e-6, 1e-13)],
     )
     def test_long_non_integer_ramp(self, theta, noise, gate):
-        t = np.arange(self.N)
-        ramp = 1e4 + 0.7318 * t + noise * np.random.default_rng(9).standard_normal(self.N)
-        scales = default_scales(self.N).scales
+        assert self.ramp_error(self.N, theta, noise) <= gate
+
+    # The same ramp at segment length; the prefix reaches about 1.5e7.
+    # Measured errors with the longdouble prefix: CDMA 3.7e-11 (noise
+    # 1e-3) and 3.7e-8 (noise 1e-6); BDMA and FDMA at most 6.6e-15.
+    @pytest.mark.parametrize(
+        "theta, noise, gate",
+        [(0.5, 1e-3, 1e-10), (0.5, 1e-6, 1e-7), (0.0, 1e-3, 1e-13),
+         (0.0, 1e-6, 1e-13), (1.0, 1e-3, 1e-13), (1.0, 1e-6, 1e-13)],
+    )
+    def test_non_integer_ramp_at_segment_length(self, theta, noise, gate):
+        assert self.ramp_error(self.SEGMENT_N, theta, noise) <= gate
+
+    @staticmethod
+    def ramp_error(n, theta, noise):
+        t = np.arange(n)
+        ramp = 1e4 + 0.7318 * t + noise * np.random.default_rng(9).standard_normal(n)
+        scales = default_scales(n).scales
         fast = dma_fluctuation_matrix(ramp, scales, theta)
-        assert max_relative_error(fast, dma_longdouble_reference(ramp, scales, theta)) <= gate
+        return max_relative_error(fast, dma_longdouble_reference(ramp, scales, theta))
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     def test_rows_across_blocks_equal_single_rows(self, theta):
-        rows = np.cumsum(np.random.default_rng(8).standard_normal((40, self.N)), axis=1)
-        scales = default_scales(self.N).scales
-        batch = dma_fluctuation_matrix(rows, scales, theta)
-        for i in (0, 9, 39):
-            assert np.array_equal(batch[i], dma_fluctuation_matrix(rows[i], scales, theta)[0])
+        # At least three blocks of BLOCK_CELLS // n rows.  Every third row
+        # is a ramp from 1e9, so a window that read past a row's end
+        # would move its neighbour's F.
+        for n in (self.N, 1001, self.SEGMENT_N):
+            count = 2 * (BLOCK_CELLS // n) + 2
+            rows = np.cumsum(np.random.default_rng(8).standard_normal((count, n)), axis=1)
+            rows[::3] += 1e9 + 0.7318 * np.arange(n)
+            scales = default_scales(n).scales
+            batch = dma_fluctuation_matrix(rows, scales, theta)
+            for i, row in enumerate(rows):
+                single = dma_fluctuation_matrix(row, scales, theta)[0]
+                assert np.array_equal(batch[i], single), (n, i)
 
 
 class TestScaleGrid:
