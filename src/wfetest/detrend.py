@@ -10,10 +10,11 @@ ceil((s-1)*(1-theta)) points in the past and floor((s-1)*theta) points
 in the future, so theta=0 is the backward average, theta=0.5 centered,
 theta=1 forward.  Only indices whose full window lies inside the series
 contribute, and F(s) is normalized by the count of those indices.  The
-window sums are differences of a prefix sum that is accumulated in
-longdouble once per block of rows and stored as a float64 pair
-hi + lo, so every scale runs in float64 at the extended prefix's
-precision.
+window sums are differences of a prefix sum held as a float64 pair
+hi + lo: hi is the running float64 sum and lo the running sum of its
+exact rounding errors (TwoSum), so the prefix is good to about
+n^2 * 2^-106 in IEEE double alone.  Each block of rows is processed as
+flat 1-D arrays, one pass per scale.
 
 DFA fits a least-squares polynomial of a given order in non-overlapping
 boxes of length s, covering the series once from the first point and
@@ -47,7 +48,9 @@ DMA_MIN_SCALE = 3
 
 # Both kernels work through the rows in blocks of about this many
 # profile cells (512 kB of float64), so each block's working arrays
-# stay in cache
+# stay in cache.  DFA blocks hold this many cells; DMA blocks hold half,
+# since DMA keeps six float64 arrays of a block's size (about 1.5 MB),
+# which measured best of 2^14 to 2^16 cells at n = 1,000 to 7,400.
 BLOCK_CELLS = 1 << 16
 
 
@@ -189,41 +192,57 @@ def dma_fluctuation_matrix(
 ) -> np.ndarray:
     """F(s) for each profile row; returns shape (rows, len(scales)).
 
-    A window sum is (hi[s:] - hi[:-s]) + (lo[s:] - lo[:-s]), where
-    hi + lo is the row block's longdouble prefix sum held exactly in two
-    float64 arrays.  A plain float64 prefix would be off by about
-    eps * |prefix| in every window: on a ramp of slope 0.7318 from 1e4
-    (n = 7,400) with 1e-3 noise, its CDMA F is 6.5e-9 off a longdouble
-    reference, against 1.8e-11 for this kernel (``tests/test_detrend.py``).
+    Each block of m rows keeps three (m, n + 1) float64 arrays: x, the
+    rows shifted one column right after a 0; hi = cumsum(x) per row; and
+    lo, the per-row running sum of each step's TwoSum error
+    e_i = (hi[i-1] - (hi[i] - b)) + (x[i] - b) with b = hi[i] - hi[i-1]
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)).  hi + lo
+    is the prefix sum to about n^2 * 2^-106 relative, and a window sum is
+    (hi[s:] - hi[:-s]) + (lo[s:] - lo[:-s]).
+
+    Every per-scale pass runs on flat 1-D views of the block.  Positions
+    whose window straddles a row end are computed but never read: the
+    sum of squares reads only each row's n + 1 - s valid positions, so a
+    row's F never depends on its neighbours.
+
+    A single float64 prefix would be off by about eps * |prefix| in every
+    window: on a ramp of slope 0.7318 from 1e4 (n = 7,400) with 1e-3
+    noise, its CDMA F is 6.5e-9 off an extended-precision reference,
+    against 1.5e-11 for this kernel (``tests/test_detrend.py``).
     """
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
     rows, n = profiles.shape
     scales = np.asarray(scales, dtype=np.int64)
     _check_scales(scales, n, DMA_MIN_SCALE)
 
-    block = min(rows, max(1, BLOCK_CELLS // n))
-    prefix = np.zeros((block, n + 1), dtype=np.longdouble)
-    win = np.empty((block, n), dtype=np.float64)
-    win_lo = np.empty((block, n), dtype=np.float64)
+    block = min(rows, max(1, BLOCK_CELLS // 2 // (n + 1)))
+    x, hi, lo, win, win_lo = np.empty((5, block, n + 1), dtype=np.float64)
+    x[:, 0] = 0.0
     out = np.empty((rows, len(scales)), dtype=np.float64)
     for r0 in range(0, rows, block):
-        part = profiles[r0 : r0 + block]
-        m = len(part)
-        np.cumsum(part, axis=1, dtype=np.longdouble, out=prefix[:m, 1:])
-        hi = prefix[:m].astype(np.float64)
-        lo = (prefix[:m] - hi).astype(np.float64)
+        m = min(block, rows - r0)
+        x[:m, 1:] = profiles[r0 : r0 + m]
+        np.cumsum(x[:m], axis=1, out=hi[:m])
+        xf, hf, lf, wf, wlf = (a[:m].reshape(-1) for a in (x, hi, lo, win, win_lo))
+        b = np.subtract(hf[1:], hf[:-1], out=wf[1:])
+        e = np.subtract(hf[1:], b, out=lf[1:])
+        np.subtract(hf[:-1], e, out=e)
+        np.subtract(xf[1:], b, out=b)
+        np.add(e, b, out=e)
+        lo[:m, 0] = 0.0
+        np.cumsum(lo[:m], axis=1, out=lo[:m])
         for j, s in enumerate(scales):
             s = int(s)
-            past, future = _window_split(s, theta)
-            resid = win[:m, : n + 1 - s]
-            resid_lo = win_lo[:m, : n + 1 - s]
-            np.subtract(hi[:, s:], hi[:, :-s], out=resid)
-            np.subtract(lo[:, s:], lo[:, :-s], out=resid_lo)
+            past, _ = _window_split(s, theta)
+            size = len(hf) - s
+            resid = np.subtract(hf[s:], hf[:-s], out=wf[:size])
+            resid_lo = np.subtract(lf[s:], lf[:-s], out=wlf[:size])
             np.add(resid, resid_lo, out=resid)
             np.divide(resid, s, out=resid)
-            np.subtract(part[:, past : n - future], resid, out=resid)
+            np.subtract(xf[past + 1 : past + 1 + size], resid, out=resid)
+            valid = win[:m, : n + 1 - s]
             out[r0 : r0 + m, j] = np.sqrt(
-                np.einsum("ij,ij->i", resid, resid) / (n + 1 - s)
+                np.einsum("ij,ij->i", valid, valid) / (n + 1 - s)
             )
     return out
 
