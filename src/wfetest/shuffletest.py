@@ -167,8 +167,11 @@ def _shuffled_slopes(
     """Exponents of the shuffled replicates ``indices``, fitted on all ``scales``."""
     rows = np.empty((len(indices), len(values)), dtype=np.float64)
     for row, i in zip(rows, indices):
-        perm = replicate_rng(base_seed, i, prefix).permutation(values)
-        row[:] = np.cumsum(perm - perm.mean())
+        # the same swaps ``permutation`` makes on its copy
+        row[:] = values
+        replicate_rng(base_seed, i, prefix).shuffle(row)
+    rows -= rows.mean(axis=1, keepdims=True)
+    np.cumsum(rows, axis=1, out=rows)
     return slopes_in_range(est.fluctuation_matrix(rows, scales), scales)
 
 

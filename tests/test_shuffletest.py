@@ -20,7 +20,7 @@ from wfetest.shuffletest import (
     two_tailed_p,
 )
 from wfetest.synth import FgnSpec, generate_fgn
-from wfetest.timeseries import ReturnSeries
+from wfetest.timeseries import ReturnSeries, profile
 
 from conftest import day_range
 
@@ -83,6 +83,23 @@ class TestShuffle:
             counts[tuple(replicate_rng(DEFAULT_SEED, i).permutation(values))] += 1
         for perm, count in counts.items():
             assert abs(count / 6000 - 1 / 6) < 0.02, (perm, count)
+
+
+    @pytest.mark.parametrize("n", [1000, 10001])
+    def test_chunk_rows_are_profiles_of_permutations(self, n):
+        values = np.random.default_rng(4).standard_t(3, n) * 0.01
+        seen = []
+
+        class Recorder:
+            def fluctuation_matrix(self, profiles, scales):
+                seen.append(profiles.copy())
+                return np.ones((len(profiles), len(scales)))
+
+        indices = range(3, 3 + _chunk_size(n))
+        _shuffled_slopes(values, Recorder(), np.array([10, 20]), 8, (2,), indices)
+        for row, i in zip(seen[0], indices, strict=True):
+            perm = replicate_rng(8, i, (2,)).permutation(values)
+            assert np.array_equal(row, profile(ReturnSeries(day_range(n), perm)).values), i
 
 
 class TestReplicateRng:
