@@ -9,6 +9,7 @@ import pytest
 
 import wfetest
 from conftest import REPO_ROOT
+from wfetest import cli
 from wfetest.cli import SUBSERIES_CUTS, main
 from wfetest.timeseries import GULF_WAR, IRAQ_WAR, NAFTA
 
@@ -70,6 +71,21 @@ class TestSynthCommand:
         out = tmp_path / "x.csv"
         assert run("synth", "--hurst", 0.5, "--seed", -1, "-o", out) == 1
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+    def test_out_of_memory_fails_without_artifact(
+        self, tmp_path, capsys, monkeypatch, message
+    ):
+        # a huge --n: the generator's allocation fails before any output
+        def exhausted(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_fgn", exhausted)
+        out = tmp_path / "x.csv"
+        assert run("synth", "--hurst", 0.5, "--n", 10**12, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message or 'out of memory'}\n"
         assert not out.exists()
 
 
