@@ -215,7 +215,7 @@ def dma_fluctuation_matrix(
     scales = np.asarray(scales, dtype=np.int64)
     _check_scales(scales, n, DMA_MIN_SCALE)
 
-    block = min(rows, max(1, BLOCK_CELLS // 2 // (n + 1)))
+    block = max(1, min(rows, BLOCK_CELLS // 2 // (n + 1)))
     x, hi, lo, win, win_lo = np.empty((5, block, n + 1), dtype=np.float64)
     x[:, 0] = 0.0
     out = np.empty((rows, len(scales)), dtype=np.float64)
@@ -224,6 +224,7 @@ def dma_fluctuation_matrix(
         x[:m, 1:] = profiles[r0 : r0 + m]
         np.cumsum(x[:m], axis=1, out=hi[:m])
         xf, hf, lf, wf, wlf = (a[:m].reshape(-1) for a in (x, hi, lo, win, win_lo))
+        # lo: running sum of each step's TwoSum error, 0 at each row start
         b = np.subtract(hf[1:], hf[:-1], out=wf[1:])
         e = np.subtract(hf[1:], b, out=lf[1:])
         np.subtract(hf[:-1], e, out=e)

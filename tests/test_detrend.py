@@ -450,6 +450,11 @@ class TestEstimator:
         direct = dfa_fluctuation_matrix(prof, scales, 2)
         assert np.array_equal(via_est, direct)
 
+    @pytest.mark.parametrize("est", [Estimator.dma(0.5), Estimator.dfa(1)], ids=lambda e: e.tag)
+    def test_empty_batch_gives_empty_matrix(self, est):
+        out = est.fluctuation_matrix(np.empty((0, 300)), np.array([4, 8, 16]))
+        assert out.shape == (0, 3)
+
 
 class TestColumnIndependence:
     # an ensemble computed on the fitted scales only must match the
