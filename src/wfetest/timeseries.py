@@ -9,9 +9,10 @@ downstream analysis operates on the log-return series and its profile
 
 from __future__ import annotations
 
-import io
+import math
+import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -125,12 +126,26 @@ class LoadedPrices(NamedTuple):
     date_format: str
 
 
-_DATE_FORMATS = {"iso": "%Y-%m-%d", "us": "%m/%d/%Y"}
+# The sub-patterns ``datetime.strptime`` uses for %Y, %m and %d, so a
+# date parses here exactly when ``strptime`` accepts it with
+# "%Y-%m-%d" (iso) or "%m/%d/%Y" (us); ``date`` rejects days past the
+# month's end, as ``strptime`` does.
+_Y = r"(?P<Y>\d\d\d\d)"
+_M = r"(?P<m>1[0-2]|0[1-9]|[1-9])"
+_D = r"(?P<d>3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
+_DATE_FORMATS = {
+    "iso": re.compile(f"{_Y}-{_M}-{_D}"),
+    "us": re.compile(f"{_M}/{_D}/{_Y}"),
+}
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def _parse_date(text: str, fmt: str) -> np.datetime64 | None:
+def _parse_date(text: str, fmt: str) -> date | None:
+    match = _DATE_FORMATS[fmt].fullmatch(text)
+    if match is None:
+        return None
     try:
-        return np.datetime64(datetime.strptime(text, _DATE_FORMATS[fmt]).date())
+        return date(int(match["Y"]), int(match["m"]), int(match["d"]))
     except ValueError:
         return None
 
@@ -177,7 +192,7 @@ def load_prices(
             raise FormatError(f"input is not UTF-8 text: {exc}") from exc
     lines = raw.removeprefix("\ufeff").splitlines()
 
-    records: list[tuple[np.datetime64, float]] = []
+    records: list[tuple[date, float]] = []
     dropped = 0
     fmt = date_format
     header_allowed = True
@@ -191,8 +206,8 @@ def load_prices(
         price_text = parts[1] if len(parts) > 1 else ""
 
         line_fmt = fmt or _detect_date_format(date_text)
-        date = _parse_date(date_text, line_fmt) if line_fmt else None
-        if date is None:
+        day = _parse_date(date_text, line_fmt) if line_fmt else None
+        if day is None:
             if header_allowed:
                 header_allowed = False
                 continue
@@ -207,16 +222,19 @@ def load_prices(
         except ValueError:
             dropped += 1  # missing or non-numeric price
             continue
-        if not np.isfinite(price) or price <= 0:
+        if not math.isfinite(price) or price <= 0:
             dropped += 1
             continue
-        records.append((date, price))
+        records.append((day, price))
 
     if not records:
         raise FormatError("no parseable price records in input")
 
     records.sort(key=lambda rec: rec[0])
-    dates = np.array([r[0] for r in records], dtype="datetime64[D]")
+    # datetime64[D] counts days from 1970-01-01: numpy takes such day
+    # numbers at once, but a few microseconds per ``date`` object
+    days = [r[0].toordinal() - _EPOCH_ORDINAL for r in records]
+    dates = np.array(days, dtype="datetime64[D]")
     prices = np.array([r[1] for r in records], dtype=np.float64)
 
     dup_mask = dates[1:] == dates[:-1]

@@ -1,6 +1,6 @@
 import io
 import math
-from datetime import date
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from wfetest.timeseries import (
     PriceSeries,
     Profile,
     ReturnSeries,
+    _parse_date,
     load_prices,
     log_returns,
     profile,
@@ -165,6 +166,22 @@ class TestLoadPrices:
             load_prices(io.BytesIO(data))
         except WfeError:
             pass
+
+    @pytest.mark.parametrize("fmt, strptime_format", [("iso", "%Y-%m-%d"), ("us", "%m/%d/%Y")])
+    @pytest.mark.parametrize("text", [
+        "1985-01-02", "1985-1-2", "1985-01- 2", "1984-02-29", "1985-02-29",
+        "1985-13-01", "1985-00-10", "85-01-02", "19850102", "1985-01-02T00:00",
+        "+1985-01-02", "1/2/1985", "01/02/1985", "1/ 2/1985", "13/01/1985",
+        "2/29/1985", "\u0661\u0669\u0668\u0665-01-02",
+        "\u0661\u0669\u0668\u0665-\u0660\u0661-\u0660\u0662",
+        "01/02/\u0661\u0669\u0668\u0665", "",
+    ])
+    def test_date_grammar_is_strptime_grammar(self, text, fmt, strptime_format):
+        try:
+            want = datetime.strptime(text, strptime_format).date()
+        except ValueError:
+            want = None
+        assert _parse_date(text, fmt) == want
 
     def test_stream_input(self, tmp_path):
         path = write_csv(tmp_path, "1990-01-02,20.5\n1990-01-03,21.0\n")
