@@ -25,7 +25,7 @@ from .detrend import Estimator, default_scales
 from .errors import WfeError
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
 from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, estimate
-from .shuffletest import DEFAULT_SEED, efficiency_test
+from .shuffletest import DEFAULT_SEED, efficiency_test, shared_pool
 from .synth import FgnSpec, generate_fgn, synthetic_prices
 from .timeseries import (
     GULF_WAR,
@@ -228,30 +228,41 @@ def cmd_test(args: argparse.Namespace) -> int:
         cuts = SUBSERIES_CUTS[args.subseries]
     segments = split_by_dates(series, cuts) if cuts else [series]
 
-    seg_docs = []
+    # every segment's returns and grid before the first shuffle, so that
+    # a segment too short to test fails the run at once
+    prepared = []
     for seg in segments:
-        r = log_returns(seg)
-        grid = default_scales(len(r.values), args.points_per_decade)
-        res = efficiency_test(
-            r,
-            est,
-            grid=grid,
-            range_policy=args.range_policy,
-            window_len=args.window_len,
-            n_replicates=args.n_shuffles,
-            seed=args.seed,
-            workers=args.threads,
-        )
         label = f"{seg.dates[0]}..{seg.dates[-1]}"
-        print(f"[{label}] {res.summary()}")
-        seg_docs.append(
-            {
-                "start": seg.dates[0],
-                "end": seg.dates[-1],
-                "n_returns": len(r.values),
-                "result": res.to_json_dict(args.include_ensemble),
-            }
-        )
+        try:
+            r = log_returns(seg)
+            grid = default_scales(len(r.values), args.points_per_decade)
+        except WfeError as exc:
+            raise type(exc)(f"{label}: {exc}") from exc
+        prepared.append((seg, label, r, grid))
+
+    seg_docs = []
+    lengths = [len(r.values) for _, _, r, _ in prepared]
+    with shared_pool(args.threads, args.n_shuffles, lengths):
+        for seg, label, r, grid in prepared:
+            res = efficiency_test(
+                r,
+                est,
+                grid=grid,
+                range_policy=args.range_policy,
+                window_len=args.window_len,
+                n_replicates=args.n_shuffles,
+                seed=args.seed,
+                workers=args.threads,
+            )
+            print(f"[{label}] {res.summary()}")
+            seg_docs.append(
+                {
+                    "start": seg.dates[0],
+                    "end": seg.dates[-1],
+                    "n_returns": len(r.values),
+                    "result": res.to_json_dict(args.include_ensemble),
+                }
+            )
     text = _json_artifact(
         "wfetest/shuffle-test/v1",
         _config_dict(args),

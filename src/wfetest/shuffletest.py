@@ -16,18 +16,24 @@ replicates can be recomputed independently and results are identical
 for any worker count.  A replicate whose estimate is degenerate is
 redrawn from indices past ``n_replicates`` (capped at 1% of the
 ensemble) and the redraw count is reported.
+
+Replicates are mapped to worker processes in chunks.  A command that
+tests several series, such as the segments of ``wfetest test``, runs
+every ensemble on one pool opened by :func:`shared_pool`; without one,
+each ensemble starts its own.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .detrend import Estimator, ScaleGrid, default_scales
+from .detrend import BLOCK_CELLS, Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, DataError, EstimationError
 from .scaling import DEFAULT_FIT_WINDOW, _in_range, estimate, slopes_in_range
 from .timeseries import ReturnSeries, profile
@@ -140,25 +146,66 @@ def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
     return float(np.count_nonzero(np.abs(e - mean) > abs(h - mean)) / len(e))
 
 
+_shared = None  # the pool of the open ``shared_pool`` block, if any
+
+
 def _ordered_map(fn: Callable, jobs: Sequence, workers: int) -> Iterator:
     """Yield fn(job) for each job in order, on up to ``workers`` processes.
 
     Results never depend on the worker count; one job or one worker
-    runs in this process, and the pool never outnumbers the jobs.
+    runs in this process.  Inside a :func:`shared_pool` block the jobs
+    go to that block's pool; elsewhere each call starts its own pool,
+    which never outnumbers the jobs.
     """
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     workers = min(workers, len(jobs))
-    if workers > 1:
+    if workers <= 1:
+        yield from map(fn, jobs)
+    elif _shared is not None:
+        yield from _shared.map(fn, jobs)
+    else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, jobs)
-    else:
-        yield from map(fn, jobs)
+
+
+@contextmanager
+def shared_pool(
+    workers: int, n_replicates: int, lengths: Sequence[int]
+) -> Iterator[None]:
+    """Run the shuffle ensembles of one command on one process pool.
+
+    The block will test series of the given ``lengths`` with
+    ``n_replicates`` replicates each.  Every ``_ordered_map`` inside it
+    draws on one pool of as many processes as the longest of those job
+    lists, at most ``workers``, so the workers start once per block
+    rather than once per series.  The pool shuts down when the block
+    ends.  With one worker, or one job per series, there is no pool.
+    """
+    global _shared
+    jobs = max(len(_replicate_chunks(n, n_replicates)) for n in lengths)
+    workers = min(workers, jobs)
+    if workers < 2:
+        yield
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        _shared = pool
+        try:
+            yield
+        finally:
+            _shared = None
 
 
 def _chunk_size(n: int) -> int:
     # at most 256 profile rows: 256 x 7,400 float64 is about 15 MB; depends only on n
     return int(min(256, max(16, (1 << 21) // max(n, 1))))
+
+
+def _replicate_chunks(n: int, n_replicates: int) -> list[range]:
+    """Replicate indices in the chunks mapped as jobs for a series of length n."""
+    chunk = _chunk_size(n)
+    indices = range(n_replicates)
+    return [indices[k : k + chunk] for k in indices[::chunk]]
 
 
 def _shuffled_slopes(
@@ -170,8 +217,13 @@ def _shuffled_slopes(
         # the same swaps ``permutation`` makes on its copy
         row[:] = values
         replicate_rng(base_seed, i, prefix).shuffle(row)
-    rows -= rows.mean(axis=1, keepdims=True)
-    np.cumsum(rows, axis=1, out=rows)
+    # demean and integrate groups of about BLOCK_CELLS cells, so that each
+    # group stays in cache between the two passes
+    group = max(1, BLOCK_CELLS // len(values))
+    for k in range(0, len(rows), group):
+        block = rows[k : k + group]
+        block -= block.mean(axis=1, keepdims=True)
+        np.cumsum(block, axis=1, out=block)
     return slopes_in_range(est.fluctuation_matrix(rows, scales), scales)
 
 
@@ -201,9 +253,7 @@ def shuffle_exponents(
         _shuffled_slopes, values, est, scales[_in_range(scales, s_range)],
         base_seed, spawn_prefix,
     )
-    indices = range(n_replicates)
-    chunk = _chunk_size(len(values))
-    jobs = [indices[k : k + chunk] for k in indices[::chunk]]
+    jobs = _replicate_chunks(len(values), n_replicates)
     ensemble = np.concatenate(list(_ordered_map(slopes, jobs, workers)))
 
     # redraw degenerate replicates from indices past the ensemble

@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wfetest
-from conftest import REPO_ROOT
-from wfetest import cli
+from conftest import REPO_ROOT, SAMPLE_PRICES
+from wfetest import cli, shuffletest
 from wfetest.cli import SUBSERIES_CUTS, main
 from wfetest.timeseries import GULF_WAR, IRAQ_WAR, NAFTA
 
@@ -202,6 +203,39 @@ class TestTestCommand:
         total = sum(seg["n_returns"] for seg in doc["segments"])
         assert total == 900 - 2  # each later segment loses one return
         assert capsys.readouterr().out.count("null") == 3
+
+    @pytest.mark.parametrize("method", ["dfa", "dma"])
+    def test_one_pool_for_all_segments_keeps_bytes(self, tmp_path, monkeypatch, method):
+        sizes = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(shuffletest, "ProcessPoolExecutor", CountingPool)
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}.json"
+            assert run("test", "-i", SAMPLE_PRICES, "--method", method, "--theta", 0.5,
+                       "--range", "auto", "--cuts", "2002-01-02,2004-01-02",
+                       "--n-shuffles", 300, "--include-ensemble",
+                       "--threads", threads, "-o", out) == 0
+            outs.append(out.read_bytes())
+        assert len(json.loads(outs[0])["segments"]) == 3
+        assert outs[0] == outs[1]
+        assert sizes == [2]
+
+    def test_short_segment_fails_before_any_shuffle(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(shuffletest, "_shuffled_slopes", lambda *a: calls.append(a))
+        out = tmp_path / "t.json"
+        assert run("test", "-i", SAMPLE_PRICES, "--cuts", "2001-01-02,2006-09-01",
+                   "--n-shuffles", 20, "-o", out) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: 2006-09-01..2006-11-07: series of length 67 supports 0 scales")
+        assert calls == []
+        assert not out.exists()
 
     def test_preset_cut_dates(self):
         assert SUBSERIES_CUTS["whole"] == ()

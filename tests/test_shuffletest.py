@@ -1,9 +1,11 @@
+import json
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from wfetest import shuffletest
+from wfetest.cli import main
 from wfetest.detrend import Estimator, FluctuationFunction, ScaleGrid, default_scales
 from wfetest.errors import ConfigError, DataError, EstimationError
 from wfetest.scaling import fit_power_law
@@ -16,13 +18,14 @@ from wfetest.shuffletest import (
     _shuffled_slopes,
     efficiency_test,
     replicate_rng,
+    shared_pool,
     shuffle_exponents,
     two_tailed_p,
 )
 from wfetest.synth import FgnSpec, generate_fgn
 from wfetest.timeseries import ReturnSeries, profile
 
-from conftest import day_range
+from conftest import SAMPLE_PRICES, day_range
 
 
 def make_returns(n=1500, hurst=0.5, seed=11):
@@ -85,7 +88,7 @@ class TestShuffle:
             assert abs(count / 6000 - 1 / 6) < 0.02, (perm, count)
 
 
-    @pytest.mark.parametrize("n", [1000, 10001])
+    @pytest.mark.parametrize("n", [1000, 10001, 20000])
     def test_chunk_rows_are_profiles_of_permutations(self, n):
         values = np.random.default_rng(4).standard_t(3, n) * 0.01
         seen = []
@@ -372,3 +375,20 @@ class TestOrderedMap:
         with pytest.raises(ConfigError, match="worker count"):
             list(_ordered_map(abs, [-1, -2], workers))
         assert pool_sizes == []
+
+    def test_test_command_starts_one_pool(self, pool_sizes, tmp_path):
+        # three segments of about 500 returns, two chunks of replicates each
+        out = tmp_path / "t.json"
+        assert main(["test", "-i", str(SAMPLE_PRICES), "--cuts", "2002-01-02,2004-01-02",
+                     "--n-shuffles", "300", "--threads", "2", "-o", str(out)]) == 0
+        assert len(json.loads(out.read_text())["segments"]) == 3
+        assert pool_sizes == [2]
+
+    def test_shared_pool_capped_at_longest_job_list(self, pool_sizes):
+        # 600 replicates are 3 jobs of 256 at n = 500, 6 jobs of 104 at n = 20,000
+        with shared_pool(8, 600, [500, 20000]):
+            assert list(_ordered_map(abs, [-1, -2, -3], 8)) == [1, 2, 3]
+            assert list(_ordered_map(abs, range(-9, 0), 8)) == list(range(9, 0, -1))
+        with shared_pool(8, 256, [500]):  # one job: no pool
+            pass
+        assert pool_sizes == [6]
