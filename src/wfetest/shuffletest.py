@@ -213,15 +213,15 @@ def _shuffled_slopes(
 ) -> np.ndarray:
     """Exponents of the shuffled replicates ``indices``, fitted on all ``scales``."""
     rows = np.empty((len(indices), len(values)), dtype=np.float64)
-    for row, i in zip(rows, indices):
-        # the same swaps ``permutation`` makes on its copy
-        row[:] = values
-        replicate_rng(base_seed, i, prefix).shuffle(row)
-    # demean and integrate groups of about BLOCK_CELLS cells, so that each
-    # group stays in cache between the two passes
+    # draw, demean and integrate groups of about BLOCK_CELLS cells, so
+    # that each group is still in cache for the two passes
     group = max(1, BLOCK_CELLS // len(values))
     for k in range(0, len(rows), group):
         block = rows[k : k + group]
+        for row, i in zip(block, indices[k : k + group]):
+            # the same swaps ``permutation`` makes on its copy
+            row[:] = values
+            replicate_rng(base_seed, i, prefix).shuffle(row)
         block -= block.mean(axis=1, keepdims=True)
         np.cumsum(block, axis=1, out=block)
     return slopes_in_range(est.fluctuation_matrix(rows, scales), scales)
