@@ -19,9 +19,11 @@ flat 1-D arrays, one pass per scale.
 DFA fits a least-squares polynomial of a given order in non-overlapping
 boxes of length s, covering the series once from the first point and
 once from the last point backward; every box's residuals enter the RMS,
-so points covered twice contribute twice.  The boxes are reshaped views
-of the profile, detrended a block of rows at a time in one reused
-buffer.
+so points covered twice contribute twice.  When s divides n both covers
+are the same boxes, so they are detrended once and counted twice.  The
+boxes are reshaped views of the profile, detrended a block of rows at a
+time in one reused buffer, against a per-(s, order) basis that is built
+once per process.
 
 Both kernels accept a batch of profiles as a 2-d array and treat rows
 independently: a row's F is computed the same way whatever rows share
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -248,10 +251,29 @@ def dma_fluctuation_matrix(
     return out
 
 
+@lru_cache(maxsize=256)
+def _dfa_basis(s: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only design matrix of a box of length s and its transposed pseudo-inverse."""
+    # local abscissa scaled to [-1, 1] keeps the fit well conditioned
+    t = np.arange(s, dtype=np.float64) - (s - 1) / 2.0
+    design = np.vander(t / t[-1], order + 1, increasing=True)
+    pinv_t = np.linalg.pinv(design).T
+    design.setflags(write=False)
+    pinv_t.setflags(write=False)
+    return design, pinv_t
+
+
 def dfa_fluctuation_matrix(
     profiles: np.ndarray, scales: np.ndarray, order: int
 ) -> np.ndarray:
-    """F(s) for each profile row; returns shape (rows, len(scales))."""
+    """F(s) for each profile row; returns shape (rows, len(scales)).
+
+    Each box's fit is ``boxes @ pinv_t @ design.T`` with the cached
+    :func:`_dfa_basis` of (s, order).  When s divides n the backward
+    cover starts at 0, so only the forward cover is detrended and its
+    box sums are copied into the backward slot: the row sum then adds
+    the same values in the same order as two separate covers would.
+    """
     if order < 1:
         raise DataError(f"dfa order must be >= 1, got {order}")
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
@@ -264,20 +286,20 @@ def dfa_fluctuation_matrix(
     for j, s in enumerate(scales):
         s = int(s)
         k = n // s
-        # local abscissa scaled to [-1, 1] keeps the fit well conditioned
-        t = np.arange(s, dtype=np.float64) - (s - 1) / 2.0
-        design = np.vander(t / t[-1], order + 1, increasing=True)
-        pinv_t = np.linalg.pinv(design).T
+        design, pinv_t = _dfa_basis(s, order)
+        starts = (0,) if k * s == n else (0, n - k * s)
         box_ss = np.empty((rows, 2, k), dtype=np.float64)
         buf = np.empty((min(block, rows), k, s), dtype=np.float64)
         for r0 in range(0, rows, block):
             part = profiles[r0 : r0 + block]
             res = buf[: len(part)]
-            for cover, start in enumerate((0, n - k * s)):
+            for cover, start in enumerate(starts):
                 boxes = part[:, start : start + k * s].reshape(len(part), k, s)
                 np.matmul(boxes @ pinv_t, design.T, out=res)
                 np.subtract(boxes, res, out=res)
                 box_ss[r0 : r0 + block, cover] = np.einsum("rks,rks->rk", res, res)
+        if len(starts) == 1:
+            box_ss[:, 1] = box_ss[:, 0]
         out[:, j] = np.sqrt(box_ss.reshape(rows, 2 * k).sum(axis=1) / (2 * k * s))
     return out
 

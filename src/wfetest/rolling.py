@@ -60,46 +60,24 @@ class WindowResult:
 
 
 def window_result(
-    r: ReturnSeries,
+    window: ReturnSeries,
     start: int,
-    window_size: int,
     est: Estimator,
     grid: ScaleGrid | None = None,
     window_len: int = DEFAULT_FIT_WINDOW,
     n_shuffles: int = 1000,
     seed: int = DEFAULT_SEED,
 ) -> WindowResult:
-    """Full pipeline on the window of returns starting at ``start``.
+    """Full pipeline on one window: the returns that start at index ``start`` of their series.
 
     Replicate seeds depend only on (seed, start, replicate index), never
     on which other windows are being computed, so this reproduces the
     corresponding row of :func:`rolling_analysis` bit-exactly.
     """
-    if start < 0 or start + window_size > len(r.values):
-        raise ConfigError(
-            f"window [{start}, {start + window_size}) outside the "
-            f"{len(r.values)} available returns"
-        )
-    return _window_test(
-        _window_job(r, start, window_size), est, grid, window_len, n_shuffles, seed
-    )
-
-
-def _window_job(r: ReturnSeries, start: int, window_size: int) -> tuple:
-    # a job carries its own window only: a worker is sent these slices,
-    # never the whole series
-    stop = start + window_size
-    return start, r.dates[start:stop], r.values[start:stop]
-
-
-def _window_test(
-    job: tuple, est: Estimator, grid: ScaleGrid | None, window_len: int,
-    n_shuffles: int, seed: int,
-) -> WindowResult:
-    start, dates, values = job
-    sub = ReturnSeries(dates, values)
+    if start < 0:
+        raise ConfigError(f"window start must be >= 0, got {start}")
     res = efficiency_test(
-        sub,
+        window,
         est,
         grid=grid,
         range_policy="auto",
@@ -108,7 +86,7 @@ def _window_test(
         seed=seed,
         spawn_prefix=(start,),
     )
-    return WindowResult(sub.dates[-1], res)
+    return WindowResult(window.dates[-1], res)
 
 
 def rolling_analysis(
@@ -143,17 +121,20 @@ def rolling_analysis(
             f"size {window_size}"
         )
 
-    jobs = [
-        _window_job(r, start, window_size)
-        for start in range(0, len(r.values) - window_size + 1, step)
+    # a job carries its own window only: a worker is sent these slices,
+    # never the whole series
+    starts = range(0, len(r.values) - window_size + 1, step)
+    windows = [
+        ReturnSeries(r.dates[start : start + window_size], r.values[start : start + window_size])
+        for start in starts
     ]
     test = partial(
-        _window_test, est=est, grid=grid, window_len=window_len,
+        window_result, est=est, grid=grid, window_len=window_len,
         n_shuffles=n_shuffles, seed=seed,
     )
     results: list[WindowResult] = []
-    for res in _ordered_map(test, jobs, workers):
+    for res in _ordered_map(test, windows, workers, starts):
         results.append(res)
         if progress is not None:
-            progress(len(results), len(jobs))
+            progress(len(results), len(windows))
     return results

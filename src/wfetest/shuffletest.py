@@ -13,7 +13,11 @@ non-rejection.  The null is rejected at the 0.01 level.
 Replicate i draws its permutation from a generator seeded by
 ``SeedSequence(base_seed, spawn_key=(*prefix, i))``, so any subset of
 replicates can be recomputed independently and results are identical
-for any worker count.  A replicate whose estimate is degenerate is
+for any worker count.  :func:`replicate_rng` is that definition.  A
+chunk of replicates does not build one ``SeedSequence`` per replicate:
+it mixes the entropy the chunk shares once, mixes in all of its indices
+at once with uint32 arithmetic, and hands each replicate's state words
+to ``PCG64``, which reproduces ``replicate_rng`` exactly.  A replicate whose estimate is degenerate is
 redrawn from indices past ``n_replicates`` (capped at 1% of the
 ensemble) and the redraw count is reported.
 
@@ -32,6 +36,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .detrend import BLOCK_CELLS, Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, DataError, EstimationError
@@ -137,6 +142,82 @@ def replicate_rng(
     return np.random.Generator(np.random.PCG64(seq))
 
 
+# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+class _StateWords(ISeedSequence):
+    """Hands a bit generator the state words that ``SeedSequence`` would derive."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _words32(value: int) -> list[int]:
+    """``value`` as little-endian uint32 words, as ``SeedSequence`` splits an int."""
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """``SeedSequence``'s hash of an int or a uint32 array; the hash and the next constant."""
+    after = h * mult & _M32
+    value = (value ^ h) * after & _M32
+    return value ^ value >> 16, after
+
+
+def _mix(x, y):
+    x = ((_MIX_L * x & _M32) - _MIX_R * y) & _M32
+    return x ^ x >> 16
+
+
+def _replicate_rngs(
+    base_seed: int, prefix: tuple[int, ...], indices: range
+) -> Iterator[np.random.Generator]:
+    """``replicate_rng(base_seed, i, prefix)`` for each i in ``indices``.
+
+    The seed words, zero-padded to four, and the prefix words are the
+    entropy every index shares, so they are mixed into the pool once.
+    The index, the last entropy word, is then mixed into all the pools
+    as one uint32 array, and ``generate_state(4, np.uint64)`` runs on
+    all of them at once.  Indices of two words or more fall back to
+    :func:`replicate_rng`.
+    """
+    if indices[-1] > _M32:
+        return (replicate_rng(base_seed, i, prefix) for i in indices)
+    seed = _words32(base_seed)
+    shared = seed + [0] * (4 - len(seed)) + [w for key in prefix for w in _words32(key)]
+    pool, h = [], _INIT_A
+    for word in shared[:4]:
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    index = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint32)
+    for word in (*shared[4:], index):
+        for dst in range(4):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    state = np.empty((len(index), 8), dtype=np.uint32)
+    h = _INIT_B
+    for k in range(8):
+        state[:, k], h = _hashmix(pool[k % 4], h, _MULT_B)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return (np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words)
+
+
 def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
     """Fraction of the ensemble strictly farther from its mean than h is."""
     e = np.asarray(ensemble, dtype=np.float64)
@@ -149,8 +230,11 @@ def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
 _shared = None  # the pool of the open ``shared_pool`` block, if any
 
 
-def _ordered_map(fn: Callable, jobs: Sequence, workers: int) -> Iterator:
-    """Yield fn(job) for each job in order, on up to ``workers`` processes.
+def _ordered_map(fn: Callable, jobs: Sequence, workers: int, *more: Sequence) -> Iterator:
+    """Yield fn(job, *more) for each job in order, on up to ``workers`` processes.
+
+    Like ``map``, each further sequence in ``more`` gives fn one more
+    argument per job.
 
     Results never depend on the worker count; one job or one worker
     runs in this process.  Inside a :func:`shared_pool` block the jobs
@@ -161,12 +245,12 @@ def _ordered_map(fn: Callable, jobs: Sequence, workers: int) -> Iterator:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     workers = min(workers, len(jobs))
     if workers <= 1:
-        yield from map(fn, jobs)
+        yield from map(fn, jobs, *more)
     elif _shared is not None:
-        yield from _shared.map(fn, jobs)
+        yield from _shared.map(fn, jobs, *more)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, jobs)
+            yield from pool.map(fn, jobs, *more)
 
 
 @contextmanager
@@ -213,15 +297,16 @@ def _shuffled_slopes(
 ) -> np.ndarray:
     """Exponents of the shuffled replicates ``indices``, fitted on all ``scales``."""
     rows = np.empty((len(indices), len(values)), dtype=np.float64)
+    rngs = _replicate_rngs(base_seed, prefix, indices)
     # draw, demean and integrate groups of about BLOCK_CELLS cells, so
     # that each group is still in cache for the two passes
     group = max(1, BLOCK_CELLS // len(values))
     for k in range(0, len(rows), group):
         block = rows[k : k + group]
-        for row, i in zip(block, indices[k : k + group]):
+        for row, rng in zip(block, rngs):
             # the same swaps ``permutation`` makes on its copy
             row[:] = values
-            replicate_rng(base_seed, i, prefix).shuffle(row)
+            rng.shuffle(row)
         block -= block.mean(axis=1, keepdims=True)
         np.cumsum(block, axis=1, out=block)
     return slopes_in_range(est.fluctuation_matrix(rows, scales), scales)

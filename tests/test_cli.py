@@ -178,13 +178,29 @@ class TestTestCommand:
         doc = json.loads(out.read_text())
         assert doc["segments"][0]["result"]["p"] in (0.0, 1.0)
 
-    def test_runs_are_byte_identical(self, tmp_path):
+    def test_runs_are_byte_identical(self, tmp_path, monkeypatch):
+        # 600 shuffles of 700 returns are three jobs of up to 256, so the
+        # --threads 2 run sends them to a real process pool
+        submitted = []
+
+        class RecordingPool(shuffletest.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.size = max_workers
+
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(self.size)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(shuffletest, "ProcessPoolExecutor", RecordingPool)
         prices = synth_prices(tmp_path, n=700)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run("test", "-i", prices, "--n-shuffles", 200,
+        assert run("test", "-i", prices, "--n-shuffles", 600,
                    "--seed", 42, "-o", a) == 0
-        assert run("test", "-i", prices, "--n-shuffles", 200,
+        assert submitted == []
+        assert run("test", "-i", prices, "--n-shuffles", 600,
                    "--seed", 42, "--threads", 2, "-o", b) == 0
+        assert submitted == [2, 2, 2]
         assert a.read_bytes() == b.read_bytes()
 
     def test_custom_cuts_make_segments(self, tmp_path, capsys):

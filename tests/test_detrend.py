@@ -10,6 +10,7 @@ from wfetest.detrend import (
     Estimator,
     FluctuationFunction,
     ScaleGrid,
+    _dfa_basis,
     _window_split,
     default_scales,
     dfa_fluctuation_matrix,
@@ -233,6 +234,31 @@ class TestDfaOracles:
         single_pass = math.sqrt(np.mean(sq))
         fast = dfa_fluctuation_matrix(prof, [s], 1)[0, 0]
         assert fast == pytest.approx(single_pass, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_scales_dividing_n_match_reference_across_blocks(self, order):
+        # one cover is detrended and counted twice when s divides n; the
+        # reference detrends both covers box by box
+        n, scales = 1000, [8, 10, 20, 25, 40, 50, 100, 125, 200]
+        rows = np.cumsum(np.random.default_rng(31).standard_normal((140, n)), axis=1)
+        assert BLOCK_CELLS // n < 70  # 140 rows span three row blocks
+        fast = dfa_fluctuation_matrix(rows, scales, order)
+        for row in (0, 64, 65, 129, 130, 139):
+            ref = dfa_reference(rows[row], scales, order)
+            assert np.allclose(fast[row], ref, rtol=1e-9, atol=1e-11), row
+
+    def test_basis_is_read_only_and_unchanged_by_the_kernel(self):
+        design, pinv_t = _dfa_basis(20, 2)
+        before = design.copy(), pinv_t.copy()
+        assert not design.flags.writeable and not pinv_t.flags.writeable
+        with pytest.raises(ValueError):
+            design[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            pinv_t[0, 0] = 1.0
+        rows = np.cumsum(np.random.default_rng(3).standard_normal((5, 400)), axis=1)
+        dfa_fluctuation_matrix(rows, [20, 21], 2)
+        assert _dfa_basis(20, 2)[0] is design
+        assert np.array_equal(design, before[0]) and np.array_equal(pinv_t, before[1])
 
     def test_linear_profile_detrended_away(self):
         y = np.arange(500, dtype=np.float64) * 3.0 + 7.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wfetest import rolling
 from wfetest.detrend import Estimator, default_scales
 from wfetest.errors import ConfigError
 from wfetest.rolling import (
@@ -16,7 +17,7 @@ from wfetest.rolling import (
 )
 from wfetest.shuffletest import ShuffleTestResult
 from wfetest.synth import FgnSpec, generate_fgn, synthetic_prices
-from wfetest.timeseries import log_returns
+from wfetest.timeseries import ReturnSeries, log_returns
 
 from conftest import day_range
 
@@ -24,6 +25,10 @@ from conftest import day_range
 def make_returns(n_returns, hurst=0.5, seed=13, sigma=0.01):
     vals = generate_fgn(FgnSpec(n=n_returns, hurst=hurst, seed=seed, sigma=sigma))
     return log_returns(synthetic_prices(vals))
+
+
+def window_of(r, start, size):
+    return ReturnSeries(r.dates[start : start + size], r.values[start : start + size])
 
 
 def band_ensemble(q025, q975):
@@ -109,7 +114,8 @@ class TestRollingAnalysis:
         )
         for k, start in enumerate(range(0, len(r.values) - 250 + 1, 60)):
             alone = window_result(
-                r, start, 250, Estimator.dfa(), n_shuffles=40, seed=5
+                window_of(r, start, 250), start, Estimator.dfa(), n_shuffles=40,
+                seed=5,
             )
             assert rows_as_dicts([alone]) == rows_as_dicts([rows[k]])
 
@@ -185,9 +191,21 @@ class TestRollingAnalysis:
     def test_window_result_bounds_checked(self):
         r = make_returns(300)
         with pytest.raises(ConfigError):
-            window_result(r, 60, 250, Estimator.dfa(), n_shuffles=5)
-        with pytest.raises(ConfigError):
-            window_result(r, -1, 250, Estimator.dfa(), n_shuffles=5)
+            window_result(window_of(r, 0, 250), -1, Estimator.dfa(), n_shuffles=5)
+
+    def test_one_window_result_call_per_window(self, monkeypatch):
+        # every window, pooled or not, runs through the public window_result
+        calls = []
+
+        def counting(window, start, *args, **kwargs):
+            calls.append((start, len(window)))
+            return window_result(window, start, *args, **kwargs)
+
+        monkeypatch.setattr(rolling, "window_result", counting)
+        r = make_returns(380)
+        rows = rolling_analysis(r, window_size=250, step=40, n_shuffles=5)
+        assert calls == [(start, 250) for start in range(0, 131, 40)]
+        assert len(rows) == len(calls)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -212,7 +230,7 @@ class TestCalibration:
         vals = generate_fgn(FgnSpec(n=n, hurst=0.5, seed=77, sigma=0.01))
         r = log_returns(synthetic_prices(vals))
         rows = rolling_analysis(
-            r, window_size=500, step=500, n_shuffles=1000, seed=42
+            r, window_size=500, step=500, n_shuffles=1000, seed=42, workers=2
         )
         assert len(rows) == 200
         outside = sum(r.outside for r in rows)

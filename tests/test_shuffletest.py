@@ -15,6 +15,7 @@ from wfetest.shuffletest import (
     ShuffleTestResult,
     _chunk_size,
     _ordered_map,
+    _replicate_rngs,
     _shuffled_slopes,
     efficiency_test,
     replicate_rng,
@@ -118,6 +119,24 @@ class TestReplicateRng:
         assert not np.array_equal(
             base, replicate_rng(42, 7, prefix=(1,)).standard_normal(4)
         )
+
+
+class TestChunkGenerators:
+    """A chunk's batched seed words give exactly ``replicate_rng``'s streams."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("prefix", [(), (0,), (6400,), (1, 2), (2**33,)])
+    def test_same_state_and_shuffle_as_replicate_rng(self, seed, prefix):
+        row = np.arange(50.0)
+        chunks = [range(300), range(2**32 - 2, 2**32), range(2**32 - 1, 2**32 + 2)]
+        for indices in chunks:
+            rngs = _replicate_rngs(seed, prefix, indices)
+            for i, rng in zip(indices, rngs, strict=True):
+                want = replicate_rng(seed, i, prefix)
+                assert rng.bit_generator.state == want.bit_generator.state, i
+                got = row.copy()
+                rng.shuffle(got)
+                assert np.array_equal(got, want.permutation(row)), i
 
 
 class TestShuffleExponents:
