@@ -7,7 +7,9 @@ grid points, exponent fit, and a shuffle ensemble over the SAME range.
 The result row is the window's whole shuffle test; its flag says where
 H falls against the ensemble's 2.5/97.5% band.
 
-Windows are independent work units.  Replicate seeds mix the base seed
+Windows are independent work units, and every window, in this process
+or in a worker, runs through :func:`window_result`; a worker is sent
+only its own window's returns.  Replicate seeds mix the base seed
 with the window's start index, so any single window recomputes in
 isolation to bit-identical values and dropping data after some date
 leaves all earlier-ending windows unchanged.
@@ -68,11 +70,13 @@ def window_result(
     n_shuffles: int = 1000,
     seed: int = DEFAULT_SEED,
 ) -> WindowResult:
-    """Full pipeline on one window: the returns that start at index ``start`` of their series.
+    """Full pipeline on one window of returns, which starts at index ``start``.
 
-    Replicate seeds depend only on (seed, start, replicate index), never
-    on which other windows are being computed, so this reproduces the
-    corresponding row of :func:`rolling_analysis` bit-exactly.
+    ``window`` holds only the window's own returns; ``start`` is where it
+    begins in the whole series.  Replicate seeds depend only on (seed,
+    start, replicate index), never on which other windows are being
+    computed, so this reproduces the corresponding row of
+    :func:`rolling_analysis` bit-exactly.
     """
     if start < 0:
         raise ConfigError(f"window start must be >= 0, got {start}")
@@ -121,8 +125,7 @@ def rolling_analysis(
             f"size {window_size}"
         )
 
-    # a job carries its own window only: a worker is sent these slices,
-    # never the whole series
+    # a job is its window's start and slices, never the whole series
     starts = range(0, len(r.values) - window_size + 1, step)
     windows = [
         ReturnSeries(r.dates[start : start + window_size], r.values[start : start + window_size])

@@ -13,12 +13,13 @@ non-rejection.  The null is rejected at the 0.01 level.
 Replicate i draws its permutation from a generator seeded by
 ``SeedSequence(base_seed, spawn_key=(*prefix, i))``, so any subset of
 replicates can be recomputed independently and results are identical
-for any worker count.  :func:`replicate_rng` is that definition.  A
-chunk of replicates does not build one ``SeedSequence`` per replicate:
-it mixes the entropy the chunk shares once, mixes in all of its indices
-at once with uint32 arithmetic, and hands each replicate's state words
-to ``PCG64``, which reproduces ``replicate_rng`` exactly.  A replicate whose estimate is degenerate is
-redrawn from indices past ``n_replicates`` (capped at 1% of the
+for any worker count.  :func:`replicate_rng` is that definition and
+stays the contract.  A chunk of replicates does not build one
+``SeedSequence`` per replicate: it mixes the entropy the chunk shares
+once, mixes in all of its indices at once with uint32 arithmetic, and
+hands each replicate's state words to ``PCG64``, which reproduces
+``replicate_rng`` bit for bit.  A replicate whose estimate is degenerate
+is redrawn from indices past ``n_replicates`` (capped at 1% of the
 ensemble) and the redraw count is reported.
 
 Replicates are mapped to worker processes in chunks.  A command that
@@ -176,6 +177,7 @@ def _hashmix(value, h: int, mult: int = _MULT_A):
 
 
 def _mix(x, y):
+    """``SeedSequence``'s mix of pool word x with hashed word y."""
     x = ((_MIX_L * x & _M32) - _MIX_R * y) & _M32
     return x ^ x >> 16
 
@@ -189,8 +191,8 @@ def _replicate_rngs(
     entropy every index shares, so they are mixed into the pool once.
     The index, the last entropy word, is then mixed into all the pools
     as one uint32 array, and ``generate_state(4, np.uint64)`` runs on
-    all of them at once.  Indices of two words or more fall back to
-    :func:`replicate_rng`.
+    all of them at once.  A chunk whose indices do not all fit one word
+    falls back to :func:`replicate_rng`.
     """
     if indices[-1] > _M32:
         return (replicate_rng(base_seed, i, prefix) for i in indices)
