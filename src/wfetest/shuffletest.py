@@ -160,25 +160,22 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _words32(value: int) -> list[int]:
-    """``value`` as little-endian uint32 words, as ``SeedSequence`` splits an int."""
-    words = [value & _M32]
-    while value > _M32:
-        value >>= 32
-        words.append(value & _M32)
-    return words
+def _n_words(value: int) -> int:
+    """How many uint32 words ``SeedSequence`` splits a non-negative int into."""
+    return max(1, -(-value.bit_length() // 32))
 
 
-def _hashmix(value, h: int, mult: int = _MULT_A):
-    """``SeedSequence``'s hash of an int or a uint32 array; the hash and the next constant."""
+# uint32 array arithmetic below wraps as SeedSequence's does
+def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """``SeedSequence``'s hash of uint32 words; the hashed words and the next constant."""
     after = h * mult & _M32
-    value = (value ^ h) * after & _M32
+    value = (value ^ h) * after
     return value ^ value >> 16, after
 
 
-def _mix(x, y):
-    """``SeedSequence``'s mix of pool word x with hashed word y."""
-    x = ((_MIX_L * x & _M32) - _MIX_R * y) & _M32
+def _mix(x: int, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of pool word x with hashed words y."""
+    x = (_MIX_L * x & _M32) - _MIX_R * y
     return x ^ x >> 16
 
 
@@ -188,30 +185,26 @@ def _replicate_rngs(
     """``replicate_rng(base_seed, i, prefix)`` for each i in ``indices``.
 
     The seed words, zero-padded to four, and the prefix words are the
-    entropy every index shares, so they are mixed into the pool once.
-    The index, the last entropy word, is then mixed into all the pools
-    as one uint32 array, and ``generate_state(4, np.uint64)`` runs on
-    all of them at once.  A chunk whose indices do not all fit one word
-    falls back to :func:`replicate_rng`.
+    entropy every index shares, so ``SeedSequence`` mixes them into the
+    pool once.  The index, the last entropy word, is then mixed into all
+    the pools as one uint32 array, and ``generate_state(4, np.uint64)``
+    runs on all of them at once.  A chunk whose indices do not all fit
+    one word falls back to :func:`replicate_rng`.
     """
     if indices[-1] > _M32:
         return (replicate_rng(base_seed, i, prefix) for i in indices)
-    seed = _words32(base_seed)
-    shared = seed + [0] * (4 - len(seed)) + [w for key in prefix for w in _words32(key)]
-    pool, h = [], _INIT_A
-    for word in shared[:4]:
-        value, h = _hashmix(word, h)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
+    # the pool after the shared words is SeedSequence(base_seed,
+    # spawn_key=prefix).pool, since padding the seed to four words hashes
+    # the same zeros that fill an unpadded pool; mixing L >= 4 words takes
+    # 4 * L hash steps (4 to fill the pool, 12 to cross-mix it, 4 per
+    # further word)
+    pool = [int(w) for w in np.random.SeedSequence(base_seed, spawn_key=prefix).pool]
+    shared = max(4, _n_words(base_seed)) + sum(map(_n_words, prefix))
+    h = _INIT_A * pow(_MULT_A, 4 * shared, 1 << 32) & _M32
     index = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint32)
-    for word in (*shared[4:], index):
-        for dst in range(4):
-            value, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], value)
+    for dst in range(4):
+        value, h = _hashmix(index, h)
+        pool[dst] = _mix(pool[dst], value)
     state = np.empty((len(index), 8), dtype=np.uint32)
     h = _INIT_B
     for k in range(8):

@@ -194,7 +194,8 @@ class TestRollingAnalysis:
             window_result(window_of(r, 0, 250), -1, Estimator.dfa(), n_shuffles=5)
 
     def test_one_window_result_call_per_window(self, monkeypatch):
-        # every window, pooled or not, runs through the public window_result
+        # every window runs through the public window_result, whose span
+        # perfbench times
         calls = []
 
         def counting(window, start, *args, **kwargs):
