@@ -25,7 +25,7 @@ from .detrend import Estimator, default_scales
 from .errors import WfeError
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
 from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, estimate
-from .shuffletest import DEFAULT_SEED, efficiency_test, shared_pool
+from .shuffletest import DEFAULT_SEED, _replicate_chunks, efficiency_test, worker_map
 from .synth import FgnSpec, generate_fgn, synthetic_prices
 from .timeseries import (
     GULF_WAR,
@@ -171,11 +171,14 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=DEFAULT_SEED,
         help=f"base random seed (default {DEFAULT_SEED})",
     )
+    sub.add_argument("--output", "-o", required=True, help="artifact path")
+
+
+def _add_threads_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--threads", type=int, default=1,
         help="worker process cap; never affects results (default 1)",
     )
-    sub.add_argument("--output", "-o", required=True, help="artifact path")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -240,9 +243,11 @@ def cmd_test(args: argparse.Namespace) -> int:
             raise type(exc)(f"{label}: {exc}") from exc
         prepared.append((seg, label, r, grid))
 
+    # one pool serves every segment, sized for the longest job list
     seg_docs = []
-    lengths = [len(r.values) for _, _, r, _ in prepared]
-    with shared_pool(args.threads, args.n_shuffles, lengths):
+    jobs = max(len(_replicate_chunks(len(r.values), args.n_shuffles))
+               for _, _, r, _ in prepared)
+    with worker_map(args.threads, jobs) as pmap:
         for seg, label, r, grid in prepared:
             res = efficiency_test(
                 r,
@@ -252,7 +257,7 @@ def cmd_test(args: argparse.Namespace) -> int:
                 window_len=args.window_len,
                 n_replicates=args.n_shuffles,
                 seed=args.seed,
-                workers=args.threads,
+                pmap=pmap,
             )
             print(f"[{label}] {res.summary()}")
             seg_docs.append(
@@ -357,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_options(p)
     _add_range_options(p, default="full")
     _add_common_options(p)
+    _add_threads_option(p)
     p.add_argument(
         "--n-shuffles", type=int, default=10000,
         help="shuffle replicates per segment (default 10000)",
@@ -385,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     _add_method_options(p)
     _add_common_options(p)
+    _add_threads_option(p)
     p.add_argument(
         "--window", type=int, default=1000,
         help="returns per window (default 1000)",

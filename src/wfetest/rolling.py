@@ -26,7 +26,7 @@ import numpy as np
 from .detrend import Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, InsufficientDataError
 from .scaling import DEFAULT_FIT_WINDOW
-from .shuffletest import DEFAULT_SEED, ShuffleTestResult, _ordered_map, efficiency_test
+from .shuffletest import DEFAULT_SEED, ShuffleTestResult, efficiency_test, worker_map
 from .timeseries import ReturnSeries
 
 WINDOW_CSV_HEADER = "end_date,H,q025,q975,flag,s_lo,s_hi"
@@ -107,7 +107,9 @@ def rolling_analysis(
     """One WindowResult per window of returns, advancing by ``step``.
 
     Produces exactly ``(n_returns - window_size) // step + 1`` results,
-    ordered by window position regardless of worker scheduling.
+    ordered by window position regardless of worker scheduling.  The
+    windows run on one :func:`worker_map` block of up to ``workers``
+    processes; each window's shuffles run serially in its worker.
     ``progress`` is called as ``progress(done, total)`` after each
     window finishes.
     """
@@ -136,8 +138,9 @@ def rolling_analysis(
         n_shuffles=n_shuffles, seed=seed,
     )
     results: list[WindowResult] = []
-    for res in _ordered_map(test, windows, workers, starts):
-        results.append(res)
-        if progress is not None:
-            progress(len(results), len(windows))
+    with worker_map(workers, len(windows)) as pmap:
+        for res in pmap(test, windows, starts):
+            results.append(res)
+            if progress is not None:
+                progress(len(results), len(windows))
     return results

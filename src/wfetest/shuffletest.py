@@ -22,10 +22,10 @@ hands each replicate's state words to ``PCG64``, which reproduces
 is redrawn from indices past ``n_replicates`` (capped at 1% of the
 ensemble) and the redraw count is reported.
 
-Replicates are mapped to worker processes in chunks.  A command that
-tests several series, such as the segments of ``wfetest test``, runs
-every ensemble on one pool opened by :func:`shared_pool`; without one,
-each ensemble starts its own.
+Replicates are mapped in chunks by an ordered ``map`` that the caller
+passes in: the builtin ``map`` by default, or the map of a
+:func:`worker_map` block, whose one process pool serves every ensemble
+a command tests.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -222,57 +222,24 @@ def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
     return float(np.count_nonzero(np.abs(e - mean) > abs(h - mean)) / len(e))
 
 
-_shared = None  # the pool of the open ``shared_pool`` block, if any
+@contextmanager
+def worker_map(workers: int, jobs: int) -> Iterator[Callable[..., Iterator]]:
+    """An ordered ``map`` for a block that maps lists of at most ``jobs`` jobs.
 
-
-def _ordered_map(fn: Callable, jobs: Sequence, workers: int, *more: Sequence) -> Iterator:
-    """Yield fn(job, *more) for each job in order, on up to ``workers`` processes.
-
-    Like ``map``, each further sequence in ``more`` gives fn one more
-    argument per job.
-
-    Results never depend on the worker count; one job or one worker
-    runs in this process.  Inside a :func:`shared_pool` block the jobs
-    go to that block's pool; elsewhere each call starts its own pool,
-    which never outnumbers the jobs.
+    With one worker or one job it is the builtin ``map``, and every job
+    runs in this process.  Otherwise it is the ``map`` of one process
+    pool of ``min(workers, jobs)`` workers, which serves every map of
+    the block and shuts down when the block ends.  Results never depend
+    on the worker count.
     """
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        yield from map(fn, jobs, *more)
-    elif _shared is not None:
-        yield from _shared.map(fn, jobs, *more)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, jobs, *more)
-
-
-@contextmanager
-def shared_pool(
-    workers: int, n_replicates: int, lengths: Sequence[int]
-) -> Iterator[None]:
-    """Run the shuffle ensembles of one command on one process pool.
-
-    The block will test series of the given ``lengths`` with
-    ``n_replicates`` replicates each.  Every ``_ordered_map`` inside it
-    draws on one pool of as many processes as the longest of those job
-    lists, at most ``workers``, so the workers start once per block
-    rather than once per series.  The pool shuts down when the block
-    ends.  With one worker, or one job per series, there is no pool.
-    """
-    global _shared
-    jobs = max(len(_replicate_chunks(n, n_replicates)) for n in lengths)
     workers = min(workers, jobs)
     if workers < 2:
-        yield
+        yield map
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        _shared = pool
-        try:
-            yield
-        finally:
-            _shared = None
+        yield pool.map
 
 
 def _chunk_size(n: int) -> int:
@@ -315,13 +282,15 @@ def shuffle_exponents(
     n_replicates: int,
     base_seed: int,
     spawn_prefix: tuple[int, ...] = (),
-    workers: int = 1,
+    pmap: Callable[..., Iterator] = map,
 ) -> tuple[np.ndarray, int]:
     """Exponents of n_replicates shuffled series over a fixed range.
 
-    Only the grid scales inside ``s_range`` are computed.  Returns the
-    ensemble ordered by replicate index and the number of redraws that
-    were needed for degenerate replicates.
+    Only the grid scales inside ``s_range`` are computed.  The chunks of
+    replicates go through the ordered map ``pmap``, such as the map of a
+    :func:`worker_map` block.  Returns the ensemble ordered by replicate
+    index and the number of redraws that were needed for degenerate
+    replicates.
     """
     if n_replicates < 1:
         raise DataError("n_replicates must be >= 1")
@@ -334,7 +303,7 @@ def shuffle_exponents(
         base_seed, spawn_prefix,
     )
     jobs = _replicate_chunks(len(values), n_replicates)
-    ensemble = np.concatenate(list(_ordered_map(slopes, jobs, workers)))
+    ensemble = np.concatenate(list(pmap(slopes, jobs)))
 
     # redraw degenerate replicates from indices past the ensemble
     max_redraws = max(1, n_replicates // 100)
@@ -364,7 +333,7 @@ def efficiency_test(
     window_len: int = DEFAULT_FIT_WINDOW,
     n_replicates: int = 10000,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
+    pmap: Callable[..., Iterator] = map,
     spawn_prefix: tuple[int, ...] = (),
 ) -> ShuffleTestResult:
     """Estimate H, build the shuffle ensemble, and test the null H = <H_s>.
@@ -372,7 +341,8 @@ def efficiency_test(
     ``range_policy`` is ``"full"`` (fit the whole grid, the default for
     whole-series runs) or ``"auto"`` (minimal-residual window of
     ``window_len`` grid points).  Shuffled replicates always reuse the
-    original series' scaling range.
+    original series' scaling range, and the ensemble is mapped with
+    ``pmap`` as in :func:`shuffle_exponents`.
     """
     if grid is None:
         grid = default_scales(len(r.values))
@@ -380,7 +350,7 @@ def efficiency_test(
 
     ensemble, n_redraws = shuffle_exponents(
         r.values, est, grid.scales, (fit.s_lo, fit.s_hi), n_replicates,
-        seed, spawn_prefix, workers,
+        seed, spawn_prefix, pmap,
     )
     return ShuffleTestResult(
         method=est.tag,

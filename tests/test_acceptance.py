@@ -15,9 +15,9 @@ from wfetest.rolling import WindowResult, rolling_analysis
 from wfetest.scaling import fit_power_law
 from wfetest.shuffletest import (
     efficiency_test,
-    shared_pool,
     shuffle_exponents,
     two_tailed_p,
+    worker_map,
 )
 from wfetest.synth import FgnSpec, generate_fgn
 from wfetest.timeseries import (
@@ -216,13 +216,14 @@ def test_real_data_call_sequence_on_synthetic_stand_in():
 
 @pytest.mark.slow
 def test_criterion_7_size_calibration_on_iid_noise():
-    # results do not depend on the worker count: 50 series on one pool of two
+    # results do not depend on the worker count: 50 series on one pool of
+    # two; 1000 replicates of 4096 returns are four jobs of 256
     rejections = 0
-    with shared_pool(2, 1000, [4096]):
+    with worker_map(2, 4) as pmap:
         for seed in range(50):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
             r = ReturnSeries(day_range(4096), rng.standard_normal(4096))
-            res = efficiency_test(r, DFA, n_replicates=1000, seed=42, workers=2)
+            res = efficiency_test(r, DFA, n_replicates=1000, seed=42, pmap=pmap)
             rejections += res.rejected
     report(7, rejections <= 3, f"{rejections}/50 null rejections at 0.01")
 

@@ -11,6 +11,7 @@ import wfetest
 from conftest import REPO_ROOT, SAMPLE_PRICES
 from wfetest import cli, shuffletest
 from wfetest.cli import SUBSERIES_CUTS, main
+from wfetest.detrend import Estimator
 from wfetest.timeseries import GULF_WAR, IRAQ_WAR, NAFTA
 
 # the directory holding the wfetest package this suite imported
@@ -169,6 +170,15 @@ class TestAnalyzeCommand:
         assert not missing_dir.exists()
         assert not list(tmp_path.glob("*.tmp.*"))
 
+    def test_threads_option_rejected(self, tmp_path, capsys):
+        # analyze runs no shuffles, so it has no workers to cap
+        prices = synth_prices(tmp_path, n=400)
+        with pytest.raises(SystemExit) as exc:
+            run("analyze", "-i", prices, "--threads", 2, "-o", tmp_path / "a.csv")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestTestCommand:
     def test_single_shuffle_p_degenerate(self, tmp_path):
@@ -269,13 +279,18 @@ class TestTestCommand:
                    "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
         assert capsys.readouterr().err.startswith("error: cut date 1 of 1")
 
-    def test_nonpositive_threads_fail(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["test"], ["rolling", "--window", 300]])
+    def test_nonpositive_threads_fail(self, tmp_path, capsys, monkeypatch, command):
         prices = synth_prices(tmp_path, n=500)
         capsys.readouterr()
+        computed = []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix",
+                            lambda *a: computed.append(a))
         for threads in (0, -3):
-            assert run("test", "-i", prices, "--threads", threads,
+            assert run(*command, "-i", prices, "--threads", threads,
                        "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
             assert "error: worker count must be >= 1" in capsys.readouterr().err
+        assert computed == []
         assert not (tmp_path / "t.json").exists()
 
     def test_negative_seed_fails_without_artifact(self, tmp_path, capsys):

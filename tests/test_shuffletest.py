@@ -8,20 +8,20 @@ from wfetest import shuffletest
 from wfetest.cli import main
 from wfetest.detrend import Estimator, FluctuationFunction, ScaleGrid, default_scales
 from wfetest.errors import ConfigError, DataError, EstimationError
+from wfetest.rolling import WINDOW_CSV_HEADER
 from wfetest.scaling import fit_power_law
 from wfetest.shuffletest import (
     DEFAULT_SEED,
     SIGNIFICANCE_LEVEL,
     ShuffleTestResult,
     _chunk_size,
-    _ordered_map,
     _replicate_rngs,
     _shuffled_slopes,
     efficiency_test,
     replicate_rng,
-    shared_pool,
     shuffle_exponents,
     two_tailed_p,
+    worker_map,
 )
 from wfetest.synth import FgnSpec, generate_fgn
 from wfetest.timeseries import ReturnSeries, profile
@@ -160,9 +160,11 @@ class TestShuffleExponents:
 
     def test_worker_count_is_invisible(self):
         args = (self.r.values, Estimator.dfa(), self.grid.scales, self.range, 70, 4)
-        e1, _ = shuffle_exponents(*args, workers=1)
-        e2, _ = shuffle_exponents(*args, workers=2)
-        e3, _ = shuffle_exponents(*args, workers=3)
+        e1, _ = shuffle_exponents(*args)
+        with worker_map(2, 2) as pmap:
+            e2, _ = shuffle_exponents(*args, pmap=pmap)
+        with worker_map(3, 3) as pmap:
+            e3, _ = shuffle_exponents(*args, pmap=pmap)
         assert np.array_equal(e1, e2) and np.array_equal(e1, e3)
 
     def test_count_not_divisible_by_chunk(self):
@@ -357,7 +359,7 @@ class TestShuffleTestResult:
         assert SIGNIFICANCE_LEVEL == 0.01
 
 
-class TestOrderedMap:
+class TestWorkerMap:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """Pool sizes requested; the stand-in pool runs jobs in this process."""
@@ -373,27 +375,46 @@ class TestOrderedMap:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(shuffletest, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
-    def test_pool_capped_at_job_count(self, pool_sizes):
-        assert list(_ordered_map(abs, [-1, -2, -3], 5000)) == [1, 2, 3]
-        assert list(_ordered_map(abs, range(-9, 0), 2)) == list(range(9, 0, -1))
+    def test_pool_capped_at_job_bound(self, pool_sizes):
+        with worker_map(5000, 3) as pmap:
+            assert list(pmap(abs, [-1, -2, -3])) == [1, 2, 3]
+        with worker_map(2, 9):
+            pass
         assert pool_sizes == [3, 2]
 
-    def test_one_job_or_worker_runs_here(self, pool_sizes):
-        assert list(_ordered_map(abs, [-4], 5000)) == [4]
-        assert list(_ordered_map(abs, [-1, -2], 1)) == [1, 2]
+    @pytest.mark.parametrize("workers, jobs", [(1, 5000), (5000, 1)])
+    def test_one_worker_or_job_is_builtin_map(self, pool_sizes, workers, jobs):
+        with worker_map(workers, jobs) as pmap:
+            assert pmap is map
         assert pool_sizes == []
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_rejected(self, pool_sizes, workers):
-        with pytest.raises(ConfigError, match="worker count"):
-            list(_ordered_map(abs, [-1, -2], workers))
+        with pytest.raises(ConfigError, match="worker count must be >= 1"):
+            with worker_map(workers, 2):
+                pass
         assert pool_sizes == []
+
+    def test_one_pool_serves_every_map_of_a_block(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(shuffletest.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(self)
+
+        monkeypatch.setattr(shuffletest, "ProcessPoolExecutor", RecordingPool)
+        with worker_map(2, 9) as pmap:
+            assert list(pmap(abs, [-1, -2, -3])) == [1, 2, 3]
+            assert list(pmap(pow, range(9), [2] * 9)) == [k * k for k in range(9)]
+            assert pmap == pools[0].map
+        assert len(pools) == 1
 
     def test_test_command_starts_one_pool(self, pool_sizes, tmp_path):
         # three segments of about 500 returns, two chunks of replicates each
@@ -403,11 +424,23 @@ class TestOrderedMap:
         assert len(json.loads(out.read_text())["segments"]) == 3
         assert pool_sizes == [2]
 
-    def test_shared_pool_capped_at_longest_job_list(self, pool_sizes):
-        # 600 replicates are 3 jobs of 256 at n = 500, 6 jobs of 104 at n = 20,000
-        with shared_pool(8, 600, [500, 20000]):
-            assert list(_ordered_map(abs, [-1, -2, -3], 8)) == [1, 2, 3]
-            assert list(_ordered_map(abs, range(-9, 0), 8)) == list(range(9, 0, -1))
-        with shared_pool(8, 256, [500]):  # one job: no pool
-            pass
-        assert pool_sizes == [6]
+    def test_test_command_pool_sized_for_longest_job_list(self, pool_sizes, tmp_path):
+        # 256 replicates are one job of 256 for the first segment's 514
+        # returns and two of up to 253 for the second's 8,285
+        prices, out = tmp_path / "p.csv", tmp_path / "t.json"
+        assert main(["synth", "--hurst", "0.5", "--n", "8800", "--sigma", "0.02",
+                     "--prices", "-o", str(prices)]) == 0
+        assert main(["test", "-i", str(prices), "--cuts", "2001-06-01",
+                     "--n-shuffles", "256", "--threads", "8", "-o", str(out)]) == 0
+        segments = json.loads(out.read_text())["segments"]
+        assert [seg["n_returns"] for seg in segments] == [514, 8285]
+        assert pool_sizes == [2]
+
+    def test_rolling_command_starts_one_pool_capped_at_windows(self, pool_sizes, tmp_path):
+        # the sample's 2,500 returns hold four windows of 500 at step 600
+        out = tmp_path / "r.csv"
+        assert main(["rolling", "-i", str(SAMPLE_PRICES), "--window", "500", "--step", "600",
+                     "--n-shuffles", "20", "--threads", "8", "-o", str(out)]) == 0
+        assert out.read_text().splitlines()[3] == WINDOW_CSV_HEADER
+        assert len(out.read_text().splitlines()[4:]) == 4
+        assert pool_sizes == [4]
