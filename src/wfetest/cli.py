@@ -25,7 +25,13 @@ from .detrend import Estimator, default_scales
 from .errors import WfeError
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
 from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, estimate
-from .shuffletest import DEFAULT_SEED, _replicate_chunks, efficiency_test, worker_map
+from .shuffletest import (
+    DEFAULT_SEED,
+    _check_shuffle_args,
+    _replicate_chunks,
+    efficiency_test,
+    worker_map,
+)
 from .synth import FgnSpec, generate_fgn, synthetic_prices
 from .timeseries import (
     GULF_WAR,
@@ -223,6 +229,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    _check_shuffle_args(args.n_shuffles, args.seed)
     series = _load(args)
     est = _estimator(args)
     if args.cuts is not None:

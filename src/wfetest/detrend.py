@@ -21,9 +21,11 @@ boxes of length s, covering the series once from the first point and
 once from the last point backward; every box's residuals enter the RMS,
 so points covered twice contribute twice.  When s divides n both covers
 are the same boxes, so they are detrended once and counted twice.  The
-boxes are reshaped views of the profile, detrended a block of rows at a
-time in one reused buffer, against a per-(s, order) basis that is built
-once per process.
+boxes are reshaped views of the profile, detrended against a per-(s,
+order) basis that is built once per process.  The rows go through in
+cache-sized blocks, and each block runs through every scale and cover
+while it is in cache, in residual, coefficient and box-sum buffers
+allocated once per call.
 
 Both kernels accept a batch of profiles as a 2-d array and treat rows
 independently: a row's F is computed the same way whatever rows share
@@ -50,8 +52,9 @@ MIN_GRID_POINTS = 16
 DMA_MIN_SCALE = 3
 
 # Both kernels work through the rows in blocks of about this many
-# profile cells (512 kB of float64), so each block's working arrays
-# stay in cache.  DFA blocks hold this many cells; DMA blocks hold half,
+# profile cells (512 kB of float64), and each block stays in cache
+# while it runs through every scale.  DFA blocks hold this many cells
+# and reuse a residual buffer of the same size; DMA blocks hold half,
 # since DMA keeps six float64 arrays of a block's size (about 1.5 MB),
 # which measured best of 2^14 to 2^16 cells at n = 1,000 to 7,400.
 BLOCK_CELLS = 1 << 16
@@ -273,6 +276,14 @@ def dfa_fluctuation_matrix(
     cover starts at 0, so only the forward cover is detrended and its
     box sums are copied into the backward slot: the row sum then adds
     the same values in the same order as two separate covers would.
+
+    The rows go through in blocks of ``BLOCK_CELLS // n``, and each block
+    runs through every scale and cover while it is in cache, so the
+    profiles are read from memory once rather than once per scale and
+    cover.  The per-scale plan (s, k, cover starts, basis) and three flat
+    buffers are made once per call; for a block of m rows, each scale
+    views the buffers as its (m, k, s) residuals, (m, k, order + 1) fit
+    coefficients and (m, 2, k) box sums.
     """
     if order < 1:
         raise DataError(f"dfa order must be >= 1, got {order}")
@@ -281,26 +292,38 @@ def dfa_fluctuation_matrix(
     scales = np.asarray(scales, dtype=np.int64)
     _check_scales(scales, n, order + 2)
 
-    block = max(1, BLOCK_CELLS // n)
-    out = np.empty((rows, len(scales)), dtype=np.float64)
-    for j, s in enumerate(scales):
-        s = int(s)
+    plan = []
+    for s in map(int, scales):
         k = n // s
         design, pinv_t = _dfa_basis(s, order)
         starts = (0,) if k * s == n else (0, n - k * s)
-        box_ss = np.empty((rows, 2, k), dtype=np.float64)
-        buf = np.empty((min(block, rows), k, s), dtype=np.float64)
-        for r0 in range(0, rows, block):
-            part = profiles[r0 : r0 + block]
-            res = buf[: len(part)]
+        plan.append((s, k, starts, pinv_t, design.T))
+    k_max = max(k for _, k, *_ in plan)
+    block = max(1, BLOCK_CELLS // n)
+    # flat buffers, viewed per scale as (m, k, s), (m, k, order + 1) and (m, 2, k)
+    m_max = min(block, rows)
+    res_buf = np.empty(m_max * n, dtype=np.float64)
+    coef_buf = np.empty(m_max * k_max * (order + 1), dtype=np.float64)
+    ss_buf = np.empty(m_max * 2 * k_max, dtype=np.float64)
+    out = np.empty((rows, len(scales)), dtype=np.float64)
+    for r0 in range(0, rows, block):
+        part = profiles[r0 : r0 + block]
+        m = len(part)
+        for j, (s, k, starts, pinv_t, design_t) in enumerate(plan):
+            res = res_buf[: m * k * s].reshape(m, k, s)
+            coef = coef_buf[: m * k * (order + 1)].reshape(m, k, order + 1)
+            box_ss = ss_buf[: m * 2 * k].reshape(m, 2, k)
             for cover, start in enumerate(starts):
-                boxes = part[:, start : start + k * s].reshape(len(part), k, s)
-                np.matmul(boxes @ pinv_t, design.T, out=res)
+                boxes = part[:, start : start + k * s].reshape(m, k, s)
+                np.matmul(boxes, pinv_t, out=coef)
+                np.matmul(coef, design_t, out=res)
                 np.subtract(boxes, res, out=res)
-                box_ss[r0 : r0 + block, cover] = np.einsum("rks,rks->rk", res, res)
-        if len(starts) == 1:
-            box_ss[:, 1] = box_ss[:, 0]
-        out[:, j] = np.sqrt(box_ss.reshape(rows, 2 * k).sum(axis=1) / (2 * k * s))
+                np.einsum("rks,rks->rk", res, res, out=box_ss[:, cover])
+            if len(starts) == 1:
+                box_ss[:, 1] = box_ss[:, 0]
+            out[r0 : r0 + m, j] = np.sqrt(
+                box_ss.reshape(m, 2 * k).sum(axis=1) / (2 * k * s)
+            )
     return out
 
 

@@ -26,7 +26,13 @@ import numpy as np
 from .detrend import Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, InsufficientDataError
 from .scaling import DEFAULT_FIT_WINDOW
-from .shuffletest import DEFAULT_SEED, ShuffleTestResult, efficiency_test, worker_map
+from .shuffletest import (
+    DEFAULT_SEED,
+    ShuffleTestResult,
+    _check_shuffle_args,
+    efficiency_test,
+    worker_map,
+)
 from .timeseries import ReturnSeries
 
 WINDOW_CSV_HEADER = "end_date,H,q025,q975,flag,s_lo,s_hi"
@@ -115,8 +121,7 @@ def rolling_analysis(
     """
     if step < 1:
         raise ConfigError(f"step must be >= 1, got {step}")
-    if n_shuffles < 1:
-        raise ConfigError(f"n_shuffles must be >= 1, got {n_shuffles}")
+    _check_shuffle_args(n_shuffles, seed)
     try:
         grid = default_scales(window_size)
     except InsufficientDataError as exc:

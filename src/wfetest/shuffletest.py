@@ -242,6 +242,14 @@ def worker_map(workers: int, jobs: int) -> Iterator[Callable[..., Iterator]]:
         yield pool.map
 
 
+def _check_shuffle_args(n_shuffles: int, seed: int) -> None:
+    """Reject a shuffle count or seed that no run could use, before any work."""
+    if n_shuffles < 1:
+        raise ConfigError(f"n_shuffles must be >= 1, got {n_shuffles}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def _chunk_size(n: int) -> int:
     # at most 256 profile rows: 256 x 7,400 float64 is about 15 MB; depends only on n
     return int(min(256, max(16, (1 << 21) // max(n, 1))))

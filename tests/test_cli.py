@@ -293,12 +293,26 @@ class TestTestCommand:
         assert computed == []
         assert not (tmp_path / "t.json").exists()
 
-    def test_negative_seed_fails_without_artifact(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [("--seed", -1, "seed must be >= 0, got -1"),
+         ("--n-shuffles", 0, "n_shuffles must be >= 1, got 0")],
+        ids=["seed", "n-shuffles"],
+    )
+    def test_bad_shuffle_option_fails_before_estimation(
+        self, tmp_path, capsys, monkeypatch, option, value, message
+    ):
         prices = synth_prices(tmp_path, n=500)
         capsys.readouterr()
+        computed = []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix",
+                            lambda *a: computed.append(a))
         out = tmp_path / "t.json"
-        assert run("test", "-i", prices, "--seed", -1, "--n-shuffles", 10, "-o", out) == 1
-        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        args = {"--seed": 7, "--n-shuffles": 10, option: value}
+        assert run("test", "-i", prices, *[a for kv in args.items() for a in kv],
+                   "-o", out) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert computed == []
         assert not out.exists()
 
     def test_include_ensemble(self, tmp_path):
@@ -356,14 +370,29 @@ class TestRollingCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_negative_seed_fails_without_artifact(self, tmp_path, capsys, threads):
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [("--seed", -1, "seed must be >= 0, got -1"),
+         ("--n-shuffles", 0, "n_shuffles must be >= 1, got 0")],
+        ids=["seed", "n-shuffles"],
+    )
+    def test_bad_shuffle_option_fails_before_estimation(
+        self, tmp_path, capsys, monkeypatch, threads, option, value, message
+    ):
         prices = synth_prices(tmp_path, n=600)
         capsys.readouterr()
+        computed, pools = [], []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix",
+                            lambda *a: computed.append(a))
+        monkeypatch.setattr(shuffletest, "ProcessPoolExecutor",
+                            lambda *a, **kw: pools.append(a))
         out = tmp_path / "roll.csv"
+        args = {"--seed": 7, "--n-shuffles": 10, option: value}
         assert run("rolling", "-i", prices, "--window", 250, "--step", 150,
-                   "--n-shuffles", 10, "--seed", -1, "--threads", threads,
-                   "-o", out) == 1
-        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+                   *[a for kv in args.items() for a in kv],
+                   "--threads", threads, "-o", out) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert computed == [] and pools == []
         assert not out.exists()
 
 

@@ -84,6 +84,38 @@ def dfa1_longdouble_reference(prof, scales):
     return out
 
 
+def dfa_scale_outer_reference(profiles, scales, order):
+    """The kernel with the scale loop outside the row-block loop.
+
+    The same BLAS and einsum calls on the same operands as
+    :func:`dfa_fluctuation_matrix`, with fresh arrays for every scale,
+    so its F must equal the kernel's bit for bit.
+    """
+    profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
+    rows, n = profiles.shape
+    block = max(1, BLOCK_CELLS // n)
+    out = np.empty((rows, len(scales)), dtype=np.float64)
+    for j, s in enumerate(scales):
+        s = int(s)
+        k = n // s
+        design, pinv_t = _dfa_basis(s, order)
+        starts = (0,) if k * s == n else (0, n - k * s)
+        box_ss = np.empty((rows, 2, k), dtype=np.float64)
+        buf = np.empty((min(block, rows), k, s), dtype=np.float64)
+        for r0 in range(0, rows, block):
+            part = profiles[r0 : r0 + block]
+            res = buf[: len(part)]
+            for cover, start in enumerate(starts):
+                boxes = part[:, start : start + k * s].reshape(len(part), k, s)
+                np.matmul(boxes @ pinv_t, design.T, out=res)
+                np.subtract(boxes, res, out=res)
+                box_ss[r0 : r0 + block, cover] = np.einsum("rks,rks->rk", res, res)
+        if len(starts) == 1:
+            box_ss[:, 1] = box_ss[:, 0]
+        out[:, j] = np.sqrt(box_ss.reshape(rows, 2 * k).sum(axis=1) / (2 * k * s))
+    return out
+
+
 def dma_longdouble_reference(prof, scales, theta):
     """DMA in extended precision: prefix, window sums and residuals.
 
@@ -305,6 +337,33 @@ class TestDfaPrecision:
         batch = dfa_fluctuation_matrix(rows, scales, 1)
         for i in (0, 9, 39):
             assert np.array_equal(batch[i], dfa_fluctuation_matrix(rows[i], scales, 1)[0])
+
+
+class TestDfaBlockOuterLoop:
+    """Each row block runs through every scale in buffers reused across scales."""
+
+    @pytest.mark.parametrize("n,block", [(1000, 65), (7400, 8)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_scale_outer_loop_bit_for_bit(self, order, n, block):
+        assert BLOCK_CELLS // n == block
+        scales = default_scales(n).scales
+        # a scale dividing n right after one that does not: the second
+        # cover's slot then holds the previous scale's box sums unless
+        # the kernel fills it
+        assert any(n % b == 0 and n % a for a, b in zip(scales, scales[1:]))
+        rows = np.cumsum(np.random.default_rng(n + order).standard_normal((140, n)), axis=1)
+        for count in (1, block, block + 3, 140):
+            fast = dfa_fluctuation_matrix(rows[:count], scales, order)
+            assert np.array_equal(fast, dfa_scale_outer_reference(rows[:count], scales, order)), count
+
+    def test_read_only_profiles_accepted_and_unchanged(self):
+        rows = np.cumsum(np.random.default_rng(12).standard_normal((70, 1000)), axis=1)
+        before = rows.copy()
+        rows.setflags(write=False)
+        scales = default_scales(1000).scales
+        fast = dfa_fluctuation_matrix(rows, scales, 2)
+        assert np.array_equal(rows, before)
+        assert np.array_equal(fast, dfa_fluctuation_matrix(before, scales, 2))
 
 
 class TestDmaPrecision:
