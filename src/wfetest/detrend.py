@@ -24,8 +24,14 @@ are the same boxes, so they are detrended once and counted twice.  The
 boxes are reshaped views of the profile, detrended against a per-(s,
 order) basis that is built once per process.  The rows go through in
 cache-sized blocks, and each block runs through every scale and cover
-while it is in cache, in residual, coefficient and box-sum buffers
-allocated once per call.
+while it is in cache, in residual and coefficient buffers allocated
+once per call.
+
+Both kernels reduce their residuals the same way: each row's residuals
+for a scale (one DMA pass, or one DFA cover) are summed as squares by
+BLAS dots of at most DOT_CELLS values, added in order
+(:func:`_row_sum_squares`).  The cap keeps each dot on one BLAS thread,
+so F does not depend on the BLAS thread count.
 
 Both kernels accept a batch of profiles as a 2-d array and treat rows
 independently: a row's F is computed the same way whatever rows share
@@ -58,6 +64,12 @@ DMA_MIN_SCALE = 3
 # since DMA keeps six float64 arrays of a block's size (about 1.5 MB),
 # which measured best of 2^14 to 2^16 cells at n = 1,000 to 7,400.
 BLOCK_CELLS = 1 << 16
+
+# A row's sum of squares is taken as BLAS dots of at most this many
+# values, added in order.  OpenBLAS splits a dot of more than 10,000
+# values over its threads, and the sum then depends on
+# OPENBLAS_NUM_THREADS; a dot this short runs on one thread.
+DOT_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -209,7 +221,8 @@ def dma_fluctuation_matrix(
     Every per-scale pass runs on flat 1-D views of the block.  Positions
     whose window straddles a row end are computed but never read: the
     sum of squares reads only each row's n + 1 - s valid positions, so a
-    row's F never depends on its neighbours.
+    row's F never depends on its neighbours.  That sum is
+    :func:`_row_sum_squares` of the valid positions.
 
     A single float64 prefix would be off by about eps * |prefix| in every
     window: on a ramp of slope 0.7318 from 1e4 (n = 7,400) with 1e-3
@@ -248,10 +261,22 @@ def dma_fluctuation_matrix(
             np.divide(resid, s, out=resid)
             np.subtract(xf[past + 1 : past + 1 + size], resid, out=resid)
             valid = win[:m, : n + 1 - s]
-            out[r0 : r0 + m, j] = np.sqrt(
-                np.einsum("ij,ij->i", valid, valid) / (n + 1 - s)
-            )
+            out[r0 : r0 + m, j] = np.sqrt(_row_sum_squares(valid) / (n + 1 - s))
     return out
+
+
+def _row_sum_squares(rows: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of a 2-d array.
+
+    Each row goes to BLAS as dots of at most DOT_CELLS values (a stacked
+    ``matmul`` of a (1, L) by an (L, 1) slice is one ``cblas_ddot``), and
+    the pieces are added in order.
+    """
+    total = np.zeros(len(rows), dtype=np.float64)
+    for c0 in range(0, rows.shape[1], DOT_CELLS):
+        piece = rows[:, c0 : c0 + DOT_CELLS]
+        total += np.matmul(piece[:, None, :], piece[:, :, None])[:, 0, 0]
+    return total
 
 
 @lru_cache(maxsize=256)
@@ -272,18 +297,20 @@ def dfa_fluctuation_matrix(
     """F(s) for each profile row; returns shape (rows, len(scales)).
 
     Each box's fit is ``boxes @ pinv_t @ design.T`` with the cached
-    :func:`_dfa_basis` of (s, order).  When s divides n the backward
-    cover starts at 0, so only the forward cover is detrended and its
-    box sums are copied into the backward slot: the row sum then adds
-    the same values in the same order as two separate covers would.
+    :func:`_dfa_basis` of (s, order).  A cover's k boxes of residuals lie
+    flat in each row, so their sum of squares is one
+    :func:`_row_sum_squares` of the (m, k * s) residuals, and a row's
+    total is that of the forward cover plus that of the backward one.
+    When s divides n the backward cover starts at 0, so only the forward
+    cover is detrended and its sum is doubled, which is exact.
 
     The rows go through in blocks of ``BLOCK_CELLS // n``, and each block
     runs through every scale and cover while it is in cache, so the
     profiles are read from memory once rather than once per scale and
-    cover.  The per-scale plan (s, k, cover starts, basis) and three flat
+    cover.  The per-scale plan (s, k, cover starts, basis) and two flat
     buffers are made once per call; for a block of m rows, each scale
-    views the buffers as its (m, k, s) residuals, (m, k, order + 1) fit
-    coefficients and (m, 2, k) box sums.
+    views them as its (m, k, s) residuals and (m, k, order + 1) fit
+    coefficients.
     """
     if order < 1:
         raise DataError(f"dfa order must be >= 1, got {order}")
@@ -300,11 +327,10 @@ def dfa_fluctuation_matrix(
         plan.append((s, k, starts, pinv_t, design.T))
     k_max = max(k for _, k, *_ in plan)
     block = max(1, BLOCK_CELLS // n)
-    # flat buffers, viewed per scale as (m, k, s), (m, k, order + 1) and (m, 2, k)
+    # flat buffers, viewed per scale as (m, k, s) and (m, k, order + 1)
     m_max = min(block, rows)
     res_buf = np.empty(m_max * n, dtype=np.float64)
     coef_buf = np.empty(m_max * k_max * (order + 1), dtype=np.float64)
-    ss_buf = np.empty(m_max * 2 * k_max, dtype=np.float64)
     out = np.empty((rows, len(scales)), dtype=np.float64)
     for r0 in range(0, rows, block):
         part = profiles[r0 : r0 + block]
@@ -312,18 +338,16 @@ def dfa_fluctuation_matrix(
         for j, (s, k, starts, pinv_t, design_t) in enumerate(plan):
             res = res_buf[: m * k * s].reshape(m, k, s)
             coef = coef_buf[: m * k * (order + 1)].reshape(m, k, order + 1)
-            box_ss = ss_buf[: m * 2 * k].reshape(m, 2, k)
-            for cover, start in enumerate(starts):
+            total = 0.0
+            for start in starts:
                 boxes = part[:, start : start + k * s].reshape(m, k, s)
                 np.matmul(boxes, pinv_t, out=coef)
                 np.matmul(coef, design_t, out=res)
                 np.subtract(boxes, res, out=res)
-                np.einsum("rks,rks->rk", res, res, out=box_ss[:, cover])
+                total += _row_sum_squares(res.reshape(m, k * s))
             if len(starts) == 1:
-                box_ss[:, 1] = box_ss[:, 0]
-            out[r0 : r0 + m, j] = np.sqrt(
-                box_ss.reshape(m, 2 * k).sum(axis=1) / (2 * k * s)
-            )
+                total *= 2
+            out[r0 : r0 + m, j] = np.sqrt(total / (2 * k * s))
     return out
 
 

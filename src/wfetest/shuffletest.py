@@ -300,10 +300,7 @@ def shuffle_exponents(
     index and the number of redraws that were needed for degenerate
     replicates.
     """
-    if n_replicates < 1:
-        raise DataError("n_replicates must be >= 1")
-    if base_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {base_seed}")
+    _check_shuffle_args(n_replicates, base_seed)
     values = np.asarray(values, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.int64)
     slopes = partial(
@@ -350,8 +347,10 @@ def efficiency_test(
     whole-series runs) or ``"auto"`` (minimal-residual window of
     ``window_len`` grid points).  Shuffled replicates always reuse the
     original series' scaling range, and the ensemble is mapped with
-    ``pmap`` as in :func:`shuffle_exponents`.
+    ``pmap`` as in :func:`shuffle_exponents`.  A bad replicate count or
+    seed fails before anything is estimated.
     """
+    _check_shuffle_args(n_replicates, seed)
     if grid is None:
         grid = default_scales(len(r.values))
     _, fit = estimate(profile(r), grid, est, range_policy, window_len)

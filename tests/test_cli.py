@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,15 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import wfetest
-from conftest import REPO_ROOT, SAMPLE_PRICES
+from conftest import REPO_ROOT, SAMPLE_PRICES, child_env
 from wfetest import cli, shuffletest
 from wfetest.cli import SUBSERIES_CUTS, main
 from wfetest.detrend import Estimator
 from wfetest.timeseries import GULF_WAR, IRAQ_WAR, NAFTA
-
-# the directory holding the wfetest package this suite imported
-IMPORTED_ROOT = Path(wfetest.__file__).resolve().parent.parent
 
 
 def run(*args):
@@ -394,21 +389,6 @@ class TestRollingCommand:
         assert f"error: {message}\n" == capsys.readouterr().err
         assert computed == [] and pools == []
         assert not out.exists()
-
-
-def child_env(bin_dir: Path | None = None) -> dict[str, str]:
-    """Environment for a child that must import the same wfetest as this suite.
-
-    The imported tree goes first on PYTHONPATH, so an exported PYTHONPATH
-    or an installed copy cannot shadow it; ``bin_dir`` goes first on PATH.
-    """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(IMPORTED_ROOT), env.get("PYTHONPATH")])
-    )
-    if bin_dir is not None:
-        env["PATH"] = os.pathsep.join(filter(None, [str(bin_dir), env.get("PATH")]))
-    return env
 
 
 def write_launcher(bin_dir: Path, target: str) -> None:

@@ -1,16 +1,22 @@
 import math
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wfetest import detrend
 from wfetest.detrend import (
     BLOCK_CELLS,
+    DOT_CELLS,
     Estimator,
     FluctuationFunction,
     ScaleGrid,
     _dfa_basis,
+    _row_sum_squares,
     _window_split,
     default_scales,
     dfa_fluctuation_matrix,
@@ -24,6 +30,8 @@ from wfetest.errors import (
 )
 from wfetest.shuffletest import replicate_rng
 from wfetest.timeseries import Profile
+
+from conftest import child_env
 
 
 def dma_reference(prof, scales, theta):
@@ -87,7 +95,7 @@ def dfa1_longdouble_reference(prof, scales):
 def dfa_scale_outer_reference(profiles, scales, order):
     """The kernel with the scale loop outside the row-block loop.
 
-    The same BLAS and einsum calls on the same operands as
+    The same BLAS calls on the same operands as
     :func:`dfa_fluctuation_matrix`, with fresh arrays for every scale,
     so its F must equal the kernel's bit for bit.
     """
@@ -100,7 +108,7 @@ def dfa_scale_outer_reference(profiles, scales, order):
         k = n // s
         design, pinv_t = _dfa_basis(s, order)
         starts = (0,) if k * s == n else (0, n - k * s)
-        box_ss = np.empty((rows, 2, k), dtype=np.float64)
+        cover_ss = np.empty((len(starts), rows), dtype=np.float64)
         buf = np.empty((min(block, rows), k, s), dtype=np.float64)
         for r0 in range(0, rows, block):
             part = profiles[r0 : r0 + block]
@@ -109,11 +117,48 @@ def dfa_scale_outer_reference(profiles, scales, order):
                 boxes = part[:, start : start + k * s].reshape(len(part), k, s)
                 np.matmul(boxes @ pinv_t, design.T, out=res)
                 np.subtract(boxes, res, out=res)
-                box_ss[r0 : r0 + block, cover] = np.einsum("rks,rks->rk", res, res)
-        if len(starts) == 1:
-            box_ss[:, 1] = box_ss[:, 0]
+                cover_ss[cover, r0 : r0 + block] = _row_sum_squares(
+                    res.reshape(len(part), k * s)
+                )
+        # when s divides n the one cover counts twice
+        out[:, j] = np.sqrt((cover_ss[0] + cover_ss[-1]) / (2 * k * s))
+    return out
+
+
+def dfa_box_sum_reference(profiles, scales, order):
+    """DFA with one einsum per box and one sum over a row's 2k box sums.
+
+    The reduction the kernel used before it took one BLAS dot per row
+    and cover; the fits are the kernel's, so only the summation order
+    differs.
+    """
+    profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
+    rows, n = profiles.shape
+    out = np.empty((rows, len(scales)), dtype=np.float64)
+    for j, s in enumerate(scales):
+        s = int(s)
+        k = n // s
+        design, pinv_t = _dfa_basis(s, order)
+        box_ss = np.empty((rows, 2, k), dtype=np.float64)
+        for cover, start in enumerate((0, n - k * s)):
+            boxes = profiles[:, start : start + k * s].reshape(rows, k, s)
+            res = boxes - (boxes @ pinv_t) @ design.T
+            box_ss[:, cover] = np.einsum("rks,rks->rk", res, res)
         out[:, j] = np.sqrt(box_ss.reshape(rows, 2 * k).sum(axis=1) / (2 * k * s))
     return out
+
+
+def dma_einsum_reference(profiles, scales, theta):
+    """The DMA kernel with each row's squares summed by one einsum.
+
+    The reduction the kernel used before it took BLAS dots; everything
+    else is the kernel's, so only the summation order differs.
+    """
+    def einsum_rows(rows):
+        return np.einsum("ij,ij->i", rows, rows)
+
+    with mock.patch.object(detrend, "_row_sum_squares", einsum_rows):
+        return dma_fluctuation_matrix(profiles, scales, theta)
 
 
 def dma_longdouble_reference(prof, scales, theta):
@@ -347,9 +392,8 @@ class TestDfaBlockOuterLoop:
     def test_equals_scale_outer_loop_bit_for_bit(self, order, n, block):
         assert BLOCK_CELLS // n == block
         scales = default_scales(n).scales
-        # a scale dividing n right after one that does not: the second
-        # cover's slot then holds the previous scale's box sums unless
-        # the kernel fills it
+        # a scale dividing n right after one that does not: one cover
+        # counted twice, next to two covers
         assert any(n % b == 0 and n % a for a, b in zip(scales, scales[1:]))
         rows = np.cumsum(np.random.default_rng(n + order).standard_normal((140, n)), axis=1)
         for count in (1, block, block + 3, 140):
@@ -364,6 +408,65 @@ class TestDfaBlockOuterLoop:
         fast = dfa_fluctuation_matrix(rows, scales, 2)
         assert np.array_equal(rows, before)
         assert np.array_equal(fast, dfa_fluctuation_matrix(before, scales, 2))
+
+
+class TestRowSumSquares:
+    """Both kernels sum each row's squares as BLAS dots of at most DOT_CELLS values."""
+
+    def test_long_rows_are_in_order_sums_of_their_piece_dots(self):
+        # strided rows, as the DMA kernel's valid positions are
+        width = 2 * DOT_CELLS + 123
+        rows = np.random.default_rng(14).standard_normal((3, width + 7))[:, :width]
+        for row, got in zip(rows, _row_sum_squares(rows)):
+            expected = 0.0
+            for c0 in range(0, width, DOT_CELLS):
+                piece = row[c0 : c0 + DOT_CELLS]
+                expected += float(np.dot(piece, piece))
+            assert got == expected
+
+    # OpenBLAS splits a dot of more than 10,000 values over its threads;
+    # at n = 30,000 every DFA cover and DMA pass is longer than that
+    KERNELS = """
+import sys
+import numpy as np
+from wfetest.detrend import default_scales, dfa_fluctuation_matrix, dma_fluctuation_matrix
+rows = np.cumsum(np.random.default_rng(15).standard_normal((3, 30000)), axis=1)
+scales = default_scales(30000).scales
+out = [dfa_fluctuation_matrix(rows, scales, order) for order in (1, 2)]
+out.append(dma_fluctuation_matrix(rows, scales, 0.5))
+sys.stdout.buffer.write(np.concatenate(out).tobytes())
+"""
+
+    def test_kernel_bits_do_not_depend_on_blas_threads(self):
+        outputs = []
+        for threads in ("1", "2"):
+            env = child_env() | {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", self.KERNELS], capture_output=True, env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) == 9 * len(default_scales(30000)) * 8
+        assert outputs[0] == outputs[1]
+
+    # the reduction moves F in the last bits only: 4e-15 relative is
+    # about 18 units of float64 rounding
+    @pytest.mark.parametrize("n", [1000, 7400])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_dfa_near_per_box_sums(self, order, n):
+        rows = shuffled_bridge_rows(n)
+        scales = default_scales(n).scales
+        fast = dfa_fluctuation_matrix(rows, scales, order)
+        assert max_relative_error(fast, dfa_box_sum_reference(rows, scales, order)) <= 4e-15
+
+    @pytest.mark.parametrize("n", [1000, 7400])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_dma_near_einsum_sums(self, theta, n):
+        rows = shuffled_bridge_rows(n)
+        scales = default_scales(n).scales
+        fast = dma_fluctuation_matrix(rows, scales, theta)
+        assert max_relative_error(fast, dma_einsum_reference(rows, scales, theta)) <= 4e-15
 
 
 class TestDmaPrecision:

@@ -186,7 +186,7 @@ class TestShuffleExponents:
             )
 
     def test_replicate_count_validated(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match=r"^n_shuffles must be >= 1, got 0$"):
             shuffle_exponents(
                 self.r.values, Estimator.dfa(), self.grid.scales,
                 self.range, 0, base_seed=1,
@@ -200,6 +200,19 @@ class TestShuffleExponents:
             )
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             efficiency_test(self.r, Estimator.dfa(), n_replicates=10, seed=-5)
+
+    @pytest.mark.parametrize(
+        "n_replicates, seed, message",
+        [(0, 1, "n_shuffles must be >= 1, got 0"), (10, -1, "seed must be >= 0, got -1")],
+    )
+    def test_efficiency_test_checks_arguments_before_estimating(
+        self, monkeypatch, n_replicates, seed, message
+    ):
+        computed = []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix", lambda *a: computed.append(a))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            efficiency_test(self.r, Estimator.dfa(), n_replicates=n_replicates, seed=seed)
+        assert computed == []
 
     def test_only_fitted_scales_computed(self, monkeypatch):
         scales = self.grid.scales
