@@ -40,6 +40,11 @@ CASES = {
         "test", "--method", "dma", "--theta", "0.5", "--range", "auto",
         "--cuts", "2002-01-02,2004-06-01", "--n-shuffles", "600",
     ],
+    # every shuffled H_s, not only the statistics drawn from them
+    "test_dfa_auto_ensemble.json": [
+        "test", "--range", "auto", "--cuts", "2002-01-02", "--n-shuffles", "200",
+        "--include-ensemble",
+    ],
 }
 
 
