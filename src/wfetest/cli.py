@@ -24,7 +24,7 @@ from . import __version__
 from .detrend import Estimator, default_scales
 from .errors import WfeError
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
-from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, estimate
+from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, _fit_window, estimate
 from .shuffletest import (
     DEFAULT_SEED,
     _check_shuffle_args,
@@ -238,14 +238,15 @@ def cmd_test(args: argparse.Namespace) -> int:
         cuts = SUBSERIES_CUTS[args.subseries]
     segments = split_by_dates(series, cuts) if cuts else [series]
 
-    # every segment's returns and grid before the first shuffle, so that
-    # a segment too short to test fails the run at once
+    # every segment's returns, grid and fit window before the first
+    # shuffle, so that a segment too short to test fails the run at once
     prepared = []
     for seg in segments:
         label = f"{seg.dates[0]}..{seg.dates[-1]}"
         try:
             r = log_returns(seg)
             grid = default_scales(len(r.values), args.points_per_decade)
+            _fit_window(args.window_len, len(grid.scales), args.range_policy)
         except WfeError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
         prepared.append((seg, label, r, grid))

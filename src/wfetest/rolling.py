@@ -25,7 +25,7 @@ import numpy as np
 
 from .detrend import Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, InsufficientDataError
-from .scaling import DEFAULT_FIT_WINDOW
+from .scaling import DEFAULT_FIT_WINDOW, _fit_window
 from .shuffletest import (
     DEFAULT_SEED,
     ShuffleTestResult,
@@ -126,6 +126,7 @@ def rolling_analysis(
         grid = default_scales(window_size)
     except InsufficientDataError as exc:
         raise ConfigError(f"window_size {window_size} too small: {exc}") from exc
+    _fit_window(window_len, len(grid.scales))
     if len(r.values) < window_size:
         raise ConfigError(
             f"series has {len(r.values)} returns, fewer than the window "

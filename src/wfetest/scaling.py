@@ -1,10 +1,10 @@
 """Power-law fitting of fluctuation functions and exponent conversions.
 
-The scaling exponent H is the slope of an ordinary least-squares fit of
-ln F against ln s.  The automatic scaling-range search slides a window
-of exactly ``window_len`` grid points across the grid and keeps the
-window with the smallest fitting residual, ties going to the earliest
-window.
+H is the slope of an ordinary least-squares fit of ln F against ln s.
+One range rule, :func:`detect_scaling_range`, picks each row's window of
+exactly ``window_len`` grid points with the smallest fitting residual,
+ties going to the earliest.  The ``full`` range policy and a shuffle
+ensemble's fixed range are its one window of the whole grid.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .detrend import Estimator, FluctuationFunction, ScaleGrid, fluctuation
-from .errors import DataError, DegenerateInputError, InsufficientDataError
+from .errors import ConfigError, DataError, DegenerateInputError, InsufficientDataError
 from .timeseries import Profile
 
 DEFAULT_FIT_WINDOW = 15
@@ -115,34 +115,44 @@ def fit_power_law(
     )
 
 
-def detect_scaling_range(
-    f: FluctuationFunction, window_len: int = DEFAULT_FIT_WINDOW
-) -> tuple[int, int]:
-    """Scaling range: the window_len-point window with the smallest rss.
+def _fit_window(window_len: int, n_scales: int, range_policy: str = "auto") -> int:
+    """Points per fit window on n_scales grid points: window_len, or all under "full".
 
-    Ties break to the smaller s_lo.  Raises InsufficientDataError when
-    no window of window_len consecutive positive-F points exists.
+    window_len must be >= 2 under either policy, and fit the grid where it is used.
     """
+    if range_policy not in RANGE_POLICIES:
+        raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
     if window_len < 2:
-        raise DataError("window_len must be >= 2")
-    usable = np.isfinite(f.f) & (f.f > 0)
-    if int(usable.sum()) < window_len:
-        raise InsufficientDataError(
-            f"grid has {int(usable.sum())} usable points; need >= {window_len}"
-        )
-    logf = np.where(usable, np.log(np.where(usable, f.f, 1.0)), np.nan)
-    logs = np.log(f.scales.astype(np.float64))
-    _, rss = _ols(
-        sliding_window_view(logs, window_len), sliding_window_view(logf, window_len)
+        raise ConfigError(f"window_len must be >= 2, got {window_len}")
+    if range_policy == "full":
+        return n_scales
+    if window_len > n_scales:
+        raise ConfigError(f"window_len {window_len} exceeds the {n_scales}-point scale grid")
+    return window_len
+
+
+def detect_scaling_range(
+    f_matrix: np.ndarray, scales: np.ndarray, window_len: int = DEFAULT_FIT_WINDOW
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's window of window_len grid points with the smallest rss.
+
+    The rows of ``f_matrix`` are F on ``scales``.  Returns each row's
+    window start, an index into ``scales``, and the window's slope.
+    Ties break to the earliest window.  A window that touches a
+    nonpositive or non-finite F never wins; a row left with none gets
+    start -1 and slope NaN.
+    """
+    _fit_window(window_len, len(scales))
+    logf = np.log(np.where(np.isfinite(f_matrix) & (f_matrix > 0), f_matrix, np.nan))
+    slopes, rss = _ols(
+        sliding_window_view(np.log(np.asarray(scales, dtype=np.float64)), window_len),
+        sliding_window_view(logf, window_len, axis=-1),
     )
-    # a window touching a nonpositive F has rss NaN and never wins
-    rss = np.where(np.isnan(rss), np.inf, rss)
-    best = int(np.argmin(rss))
-    if not np.isfinite(rss[best]):
-        raise InsufficientDataError(
-            f"no window of {window_len} consecutive positive-F grid points"
-        )
-    return int(f.scales[best]), int(f.scales[best + window_len - 1])
+    # a window touching a bad F has NaN slope and rss, and never wins
+    rss[np.isnan(rss)] = np.inf
+    best = np.argmin(rss, axis=1)
+    start = np.where(np.isinf(rss.min(axis=1)), -1, best)
+    return start, slopes[np.arange(len(best)), best]
 
 
 def estimate(
@@ -152,30 +162,16 @@ def estimate(
     range_policy: str = "full",
     window_len: int = DEFAULT_FIT_WINDOW,
 ) -> tuple[FluctuationFunction, ScalingFit]:
-    """Fluctuation function of the profile and its power-law fit.
+    """Fluctuation function of the profile and its fit over the range rule's window.
 
-    ``range_policy`` is ``"full"`` (fit the whole grid) or ``"auto"``
-    (the minimal-residual window of ``window_len`` grid points).
+    ``range_policy`` ``"full"`` is the one window of the whole grid, and
+    ``"auto"`` the minimal-residual window of ``window_len`` grid points.
     """
-    if range_policy not in RANGE_POLICIES:
-        raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
+    n_fit = _fit_window(window_len, len(grid.scales), range_policy)
     f = fluctuation(y, grid, est)
-    if range_policy == "auto":
-        s_range = detect_scaling_range(f, window_len)
-    else:
-        s_range = (int(grid.scales[0]), int(grid.scales[-1]))
-    return f, fit_power_law(f, s_range)
-
-
-def slopes_in_range(f_matrix: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Per-row log-log slopes over every scale column given.
-
-    Batch companion to :func:`fit_power_law` for shuffle ensembles,
-    which are computed on the fitted scales only: rows whose F is
-    nonpositive or non-finite anywhere come back as NaN instead of
-    raising.  A C-ordered row is summed exactly as fit_power_law sums it.
-    """
-    x = np.log(np.asarray(scales, dtype=np.float64))
-    ok = np.all(np.isfinite(f_matrix) & (f_matrix > 0), axis=1)
-    slopes, _ = _ols(x, np.log(np.where(ok[:, None], f_matrix, 1.0)))
-    return np.where(ok, slopes, np.nan)
+    (lo,), _ = detect_scaling_range(f.f[None, :], f.scales, n_fit)
+    if lo < 0:
+        raise DegenerateInputError(
+            f"F(s) is 0 or not finite in every window of {n_fit} grid points"
+        )
+    return f, fit_power_law(f, (int(f.scales[lo]), int(f.scales[lo + n_fit - 1])))

@@ -41,7 +41,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .detrend import BLOCK_CELLS, Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, DataError, EstimationError
-from .scaling import DEFAULT_FIT_WINDOW, _in_range, estimate, slopes_in_range
+from .scaling import DEFAULT_FIT_WINDOW, _in_range, detect_scaling_range, estimate
 from .timeseries import ReturnSeries, profile
 
 DEFAULT_SEED = 42
@@ -265,7 +265,7 @@ def _replicate_chunks(n: int, n_replicates: int) -> list[range]:
 def _shuffled_slopes(
     values, est: Estimator, scales, base_seed: int, prefix: tuple, indices: range
 ) -> np.ndarray:
-    """Exponents of the shuffled replicates ``indices``, fitted on all ``scales``."""
+    """Exponents of the shuffled replicates ``indices``: the one window of all ``scales``."""
     rows = np.empty((len(indices), len(values)), dtype=np.float64)
     rngs = _replicate_rngs(base_seed, prefix, indices)
     # draw, demean and integrate groups of about BLOCK_CELLS cells, so
@@ -279,7 +279,7 @@ def _shuffled_slopes(
             rng.shuffle(row)
         block -= block.mean(axis=1, keepdims=True)
         np.cumsum(block, axis=1, out=block)
-    return slopes_in_range(est.fluctuation_matrix(rows, scales), scales)
+    return detect_scaling_range(est.fluctuation_matrix(rows, scales), scales, len(scales))[1]
 
 
 def shuffle_exponents(

@@ -391,6 +391,67 @@ class TestRollingCommand:
         assert not out.exists()
 
 
+
+class TestWindowLen:
+    """--window-len is checked by the range rule's own check, before any F."""
+
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            (["analyze", "--window-len", 0], "window_len must be >= 2, got 0"),
+            (["analyze", "--range", "auto", "--window-len", 1],
+             "window_len must be >= 2, got 1"),
+            (["analyze", "--range", "auto", "--window-len", 17],
+             "window_len 17 exceeds the 16-point scale grid"),
+            (["test", "--range", "full", "--window-len", 1],
+             "2000-01-03..2006-11-07: window_len must be >= 2, got 1"),
+            (["test", "--range", "auto", "--cuts", "2002-01-01", "--window-len", 20],
+             "2000-01-03..2001-12-31: window_len 20 exceeds the 19-point scale grid"),
+            (["rolling", "--window", 500, "--window-len", 1],
+             "window_len must be >= 2, got 1"),
+            (["rolling", "--window", 500, "--window-len", 17],
+             "window_len 17 exceeds the 16-point scale grid"),
+        ],
+        ids=["analyze-full-0", "analyze-auto-1", "analyze-auto-long",
+             "test-full-1", "test-auto-segment", "rolling-1", "rolling-long"],
+    )
+    def test_bad_window_len_fails_before_estimation(
+        self, tmp_path, capsys, monkeypatch, command, message
+    ):
+        # the sample file's segment before 2002 has a 19-point grid, and
+        # 500 prices give a 16-point one
+        prices = SAMPLE_PRICES if command[0] == "test" else synth_prices(tmp_path, n=500)
+        capsys.readouterr()
+        computed, pools = [], []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix",
+                            lambda *a: computed.append(a))
+        monkeypatch.setattr(shuffletest, "ProcessPoolExecutor",
+                            lambda *a, **kw: pools.append(a))
+        out = tmp_path / "out.txt"
+        extra = [] if command[0] == "analyze" else ["--n-shuffles", 10, "--threads", 2]
+        assert run(*command, *extra, "-i", prices, "-o", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert computed == [] and pools == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "test"])
+    @pytest.mark.parametrize("policy,points", [("full", 17), ("auto", 15)])
+    def test_flat_prices_fail_with_one_message(
+        self, tmp_path, capsys, command, policy, points
+    ):
+        # constant prices: every return, profile point and F is 0
+        prices = tmp_path / "flat.csv"
+        days = np.arange("2000-01-03", 600, dtype="datetime64[D]")
+        prices.write_text("".join(f"{d},50.0\n" for d in days))
+        out = tmp_path / "out.txt"
+        extra = ["--n-shuffles", 10] if command == "test" else []
+        assert run(command, "--range", policy, *extra, "-i", prices, "-o", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: F(s) is 0 or not finite in every window of {points} grid points\n"
+        )
+        assert not out.exists()
+
+
 def write_launcher(bin_dir: Path, target: str) -> None:
     """Write the ``wfetest`` launcher pip makes for a ``module:attr`` target."""
     module, _, attr = target.partition(":")

@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from wfetest.detrend import Estimator, FluctuationFunction, default_scales
 from wfetest.errors import (
+    ConfigError,
     DataError,
     DegenerateInputError,
     InsufficientDataError,
@@ -18,7 +19,6 @@ from wfetest.scaling import (
     _ols,
     detect_scaling_range,
     fit_power_law,
-    slopes_in_range,
 )
 from wfetest.shuffletest import shuffle_exponents
 
@@ -26,6 +26,15 @@ from wfetest.shuffletest import shuffle_exponents
 def power_law_f(scales, h, amp=1.0, method="DFA", n=4096):
     scales = np.asarray(scales, dtype=np.int64)
     return FluctuationFunction(scales, amp * scales.astype(float) ** h, method, n)
+
+
+def scaling_range(f: FluctuationFunction, window_len: int):
+    """(s_lo, s_hi) of the range rule's window for the one row f, or None."""
+    (start,), (slope,) = detect_scaling_range(f.f[None, :], f.scales, window_len)
+    if start < 0:
+        assert np.isnan(slope)
+        return None
+    return int(f.scales[start]), int(f.scales[start + window_len - 1])
 
 
 class TestOls:
@@ -143,7 +152,7 @@ class TestScanWindows:
         y = 0.5 * np.log(scales.astype(float))
         y[:35] += 1e-2 * np.sin(np.arange(35))
         f = FluctuationFunction(scales, np.exp(y), "DFA", 1000)
-        assert detect_scaling_range(f, window_len=15) == (45, 59)
+        assert scaling_range(f, 15) == (45, 59)
 
     def test_zero_f_window_gets_inf(self):
         # exact law on grid points 0..7, so the zero at 3 excludes windows 0..3
@@ -152,14 +161,16 @@ class TestScanWindows:
         values[:8] = scales[:8] ** 0.5
         values[3] = 0.0
         f = FluctuationFunction(scales, values, "DFA", 1000)
-        assert detect_scaling_range(f, window_len=4) == (14, 17)
+        assert scaling_range(f, 4) == (14, 17)
 
     def test_bad_window_len(self):
         f = power_law_f(np.arange(10, 30), 0.5)
-        with pytest.raises(DataError):
-            detect_scaling_range(f, window_len=1)
-        with pytest.raises(InsufficientDataError):
-            detect_scaling_range(f, window_len=21)
+        with pytest.raises(ConfigError, match=r"^window_len must be >= 2, got 1$"):
+            scaling_range(f, 1)
+        with pytest.raises(
+            ConfigError, match=r"^window_len 21 exceeds the 20-point scale grid$"
+        ):
+            scaling_range(f, 21)
 
 
 class TestDetectScalingRange:
@@ -171,7 +182,7 @@ class TestDetectScalingRange:
         y = np.where(x <= x40, 0.9 * x, 0.9 * x40 + 0.4 * (x - x40))
         y = y + np.where(scales <= 40, 1e-3 * np.sin(np.arange(len(x))), 0.0)
         f = FluctuationFunction(scales, np.exp(y), "DFA", 4000)
-        lo, hi = detect_scaling_range(f, window_len=6)
+        lo, hi = scaling_range(f, 6)
         # which clean window wins among ~1e-30 rss values is unspecified,
         # but the range must avoid the noisy regime entirely
         assert lo > 40
@@ -182,12 +193,12 @@ class TestDetectScalingRange:
         # constant F: every window has rss exactly +0.0
         scales = np.arange(10, 40)
         f = FluctuationFunction(scales, np.ones(30), "DFA", 1000)
-        lo, hi = detect_scaling_range(f, window_len=15)
+        lo, hi = scaling_range(f, 15)
         assert lo == 10 and hi == 24
 
     def test_window_len_is_exact(self):
         f = power_law_f(default_scales(2000).scales, 0.5)
-        lo, hi = detect_scaling_range(f, window_len=15)
+        lo, hi = scaling_range(f, 15)
         count = int(np.sum((f.scales >= lo) & (f.scales <= hi)))
         assert count == 15
 
@@ -197,13 +208,16 @@ class TestDetectScalingRange:
         values[5] = 0.0
         values[12] = 0.0
         f = FluctuationFunction(scales, values, "DFA", 1000)
-        with pytest.raises(InsufficientDataError):
-            detect_scaling_range(f, window_len=15)
+        assert scaling_range(f, 15) is None
 
     def test_too_few_usable_points(self):
-        f = power_law_f(np.arange(10, 20), 0.5)
-        with pytest.raises(InsufficientDataError):
-            detect_scaling_range(f, window_len=15)
+        # 14 positive points, each window of 15 touches a zero
+        f = power_law_f(np.arange(10, 30), 0.5)
+        values = f.f.copy()
+        values[14:] = 0.0
+        f = FluctuationFunction(f.scales, values, "DFA", 1000)
+        assert scaling_range(f, 15) is None
+        assert scaling_range(f, 14) == (10, 23)
 
 
 def fit_with_h(h: float) -> ScalingFit:
@@ -227,13 +241,54 @@ class TestExponentRelations:
         assert fit.gamma == 2.0 - 2.0 * h
 
 
-class TestSlopesInRange:
+class TestBatchedRule:
+    def test_rows_match_their_one_row_calls(self):
+        # each row's window and slope do not depend on the rows beside it
+        rng = np.random.default_rng(21)
+        n = 2000
+        scales = default_scales(n).scales
+        profiles = np.cumsum(rng.standard_normal((6, n)), axis=1)
+        f_matrix = Estimator.dfa().fluctuation_matrix(profiles, scales)
+        f_matrix[1, 4] = 0.0
+        f_matrix[4, 9] = np.nan
+        # four windows, starting at columns 0 to 3: all of them hold the
+        # 0 at column 4 and the NaN at column 9
+        window_len = len(scales) - 3
+        assert 9 < window_len
+        start, slopes = detect_scaling_range(f_matrix, scales, window_len)
+        assert start.dtype.kind == "i"
+        for i in range(6):
+            if i in (1, 4):
+                assert start[i] == -1 and np.isnan(slopes[i])
+                continue
+            (one_start,), (one_slope,) = detect_scaling_range(
+                f_matrix[i : i + 1], scales, window_len
+            )
+            assert start[i] == one_start >= 0 and slopes[i] == one_slope
+            lo, hi = int(scales[start[i]]), int(scales[start[i] + window_len - 1])
+            f = FluctuationFunction(scales, f_matrix[i], "DFA", n)
+            assert slopes[i] == fit_power_law(f, (lo, hi)).h
+
+    def test_bad_window_never_wins_and_ties_go_earliest(self):
+        # constant F: every window has rss exactly +0.0 unless it holds the NaN
+        scales = np.arange(10, 26)
+        rows = np.ones((2, len(scales)))
+        rows[1, 3] = np.nan
+        start, slopes = detect_scaling_range(rows, scales, 4)
+        assert start.tolist() == [0, 4]
+        assert slopes.tolist() == [0.0, 0.0]
+
+
+class TestOneWindow:
+    """With window_len == len(scales) the rule is the fixed-range fit."""
+
     def test_matches_scalar_fit(self):
         # every column given is fitted, as fit_power_law fits its whole range
         rng = np.random.default_rng(8)
         scales = default_scales(2000).scales[3:17]
         rows = np.exp(rng.standard_normal((5, len(scales))))
-        slopes = slopes_in_range(rows, scales)
+        start, slopes = detect_scaling_range(rows, scales, len(scales))
+        assert start.tolist() == [0] * 5
         for i in range(5):
             f = FluctuationFunction(scales, rows[i], "DFA", 2000)
             fit = fit_power_law(f, (int(scales[0]), int(scales[-1])))
@@ -248,7 +303,8 @@ class TestSlopesInRange:
         f_matrix = est.fluctuation_matrix(profiles, scales)
         for s_range in ((int(scales[0]), int(scales[-1])), (int(scales[3]), int(scales[17]))):
             fitted = scales[(scales >= s_range[0]) & (scales <= s_range[1])]
-            slopes = slopes_in_range(est.fluctuation_matrix(profiles, fitted), fitted)
+            f_fitted = est.fluctuation_matrix(profiles, fitted)
+            _, slopes = detect_scaling_range(f_fitted, fitted, len(fitted))
             for i, row in enumerate(f_matrix):
                 f = FluctuationFunction(scales, row, est.tag, n)
                 assert slopes[i] == fit_power_law(f, s_range).h
@@ -260,7 +316,8 @@ class TestSlopesInRange:
              [1.0, 0.0, 3.0, 4.0],
              [1.0, np.nan, 3.0, 4.0]]
         )
-        slopes = slopes_in_range(rows, scales)
+        start, slopes = detect_scaling_range(rows, scales, 4)
+        assert start.tolist() == [0, -1, -1]
         assert np.isfinite(slopes[0])
         assert np.isnan(slopes[1]) and np.isnan(slopes[2])
 
