@@ -401,15 +401,15 @@ class TestWindowLen:
             (["analyze", "--window-len", 0], "window_len must be >= 2, got 0"),
             (["analyze", "--range", "auto", "--window-len", 1],
              "window_len must be >= 2, got 1"),
-            (["analyze", "--range", "auto", "--window-len", 17],
-             "window_len 17 exceeds the 16-point scale grid"),
+            (["analyze", "--range", "auto", "--window-len", 18],
+             "window_len 18 exceeds the 17-point scale grid"),
             (["test", "--range", "full", "--window-len", 1],
              "2000-01-03..2006-11-07: window_len must be >= 2, got 1"),
             (["test", "--range", "auto", "--cuts", "2002-01-01", "--window-len", 20],
              "2000-01-03..2001-12-31: window_len 20 exceeds the 19-point scale grid"),
-            (["rolling", "--window", 500, "--window-len", 1],
+            (["rolling", "--window", 500, "--step", 50, "--window-len", 1],
              "window_len must be >= 2, got 1"),
-            (["rolling", "--window", 500, "--window-len", 17],
+            (["rolling", "--window", 500, "--step", 50, "--window-len", 17],
              "window_len 17 exceeds the 16-point scale grid"),
         ],
         ids=["analyze-full-0", "analyze-auto-1", "analyze-auto-long",
@@ -418,9 +418,10 @@ class TestWindowLen:
     def test_bad_window_len_fails_before_estimation(
         self, tmp_path, capsys, monkeypatch, command, message
     ):
-        # the sample file's segment before 2002 has a 19-point grid, and
-        # 500 prices give a 16-point one
-        prices = SAMPLE_PRICES if command[0] == "test" else synth_prices(tmp_path, n=500)
+        # the sample file's segment before 2002 has a 19-point grid, 600
+        # prices a 17-point one, and rolling's three windows of 500 returns
+        # a 16-point one, on a pool of 2 if one were started
+        prices = SAMPLE_PRICES if command[0] == "test" else synth_prices(tmp_path, n=600)
         capsys.readouterr()
         computed, pools = [], []
         monkeypatch.setattr(Estimator, "fluctuation_matrix",
