@@ -179,10 +179,51 @@ class TestShuffleExponents:
     def test_degenerate_series_exhausts_redraw_cap(self):
         # constant returns shuffle to constant: F = 0 on every replicate
         values = np.zeros(1200)
-        with pytest.raises(EstimationError, match="redraw"):
+        message = r"^1 replicate redraws exhausted the cap \(1\); series is degenerate for DFA$"
+        with pytest.raises(EstimationError, match=message):
             shuffle_exponents(
                 values, Estimator.dfa(), self.grid.scales, self.range,
                 50, base_seed=1,
+            )
+
+    class ZeroAtOneScale:
+        """F = s^(0.5 + row[1] / 1000), but 0 at the second scale for the
+        rows that start with 198 or 199 (1% of the shuffles of 0..199)."""
+
+        tag = "stub"
+
+        def fluctuation_matrix(self, profiles, scales):
+            f = scales ** (0.5 + 1e-3 * profiles[:, 1:2])
+            f[profiles[:, 0] > 98.0, 1] = 0.0
+            return f
+
+    # (seed, degenerate replicates, redraws): seed 5 and 35 redraw a
+    # degenerate replicate once, and seed 34 does so on the last redraw
+    # the cap allows
+    @pytest.mark.parametrize(
+        "seed, n_bad, n_redraws", [(31, 4, 4), (5, 6, 7), (13, 10, 10), (34, 9, 10), (35, 9, 10)]
+    )
+    def test_redraws_fill_bad_slots_in_order(self, seed, n_bad, n_redraws):
+        values, scales, est = np.arange(200.0), np.array([10, 20, 40, 80]), self.ZeroAtOneScale()
+        ens, redraws = shuffle_exponents(values, est, scales, (10, 80), 1000, base_seed=seed)
+        first = _shuffled_slopes(values, est, scales, seed, (), range(1000))
+        bad = np.flatnonzero(~np.isfinite(first))
+        assert len(bad) == n_bad and redraws == n_redraws
+        assert np.array_equal(np.delete(ens, bad), np.delete(first, bad))
+        # each bad slot, in order, takes the next finite replicate past the ensemble
+        drawn = [_shuffled_slopes(values, est, scales, seed, (), range(i, i + 1))[0]
+                 for i in range(1000, 1000 + n_redraws)]
+        assert np.array_equal(ens[bad], [h for h in drawn if np.isfinite(h)])
+        assert np.all(np.isfinite(ens))
+
+    @pytest.mark.parametrize("seed", [11, 38])
+    def test_redraw_cap_hit_by_degenerate_redraws(self, seed):
+        # 10 and 11 degenerate replicates, and the first redraw is degenerate too
+        message = r"^10 replicate redraws exhausted the cap \(10\); series is degenerate for stub$"
+        with pytest.raises(EstimationError, match=message):
+            shuffle_exponents(
+                np.arange(200.0), self.ZeroAtOneScale(), np.array([10, 20, 40, 80]),
+                (10, 80), 1000, base_seed=seed,
             )
 
     def test_replicate_count_validated(self):
