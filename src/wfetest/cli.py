@@ -172,12 +172,16 @@ def _add_window_len_option(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_output_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--output", "-o", required=True, help="artifact path")
+
+
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
         help=f"base random seed (default {DEFAULT_SEED})",
     )
-    sub.add_argument("--output", "-o", required=True, help="artifact path")
+    _add_output_option(sub)
 
 
 def _add_threads_option(sub: argparse.ArgumentParser) -> None:
@@ -236,7 +240,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         cuts = tuple(part.strip() for part in args.cuts.split(","))
     else:
         cuts = SUBSERIES_CUTS[args.subseries]
-    segments = split_by_dates(series, cuts) if cuts else [series]
+    segments = split_by_dates(series, cuts)
 
     # every segment's returns, grid and fit window before the first
     # shuffle, so that a segment too short to test fails the run at once
@@ -355,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method_options(p)
     _add_grid_options(p)
     _add_range_options(p, default="full")
-    _add_common_options(p)
+    # analyze draws nothing, so it takes no seed
+    _add_output_option(p)
     p.add_argument(
         "--format", choices=("csv", "json"), default="csv",
         help="artifact format (default csv)",
@@ -431,11 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit an exponentiated-cumulative-sum price series instead "
         "of raw values",
     )
-    p.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"base random seed (default {DEFAULT_SEED})",
-    )
-    p.add_argument("--output", "-o", required=True, help="artifact path")
+    _add_common_options(p)
     p.set_defaults(func=cmd_synth)
     return parser
 
@@ -444,10 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WfeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WfeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

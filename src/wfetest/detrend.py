@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, ScaleRangeError
-from .timeseries import Profile
+from .timeseries import Profile, _readonly
 
 # Minimum number of grid points: the scaling-range search needs 15, plus
 # one point of slack.
@@ -79,8 +79,7 @@ class ScaleGrid:
     scales: np.ndarray
 
     def __post_init__(self):
-        scales = np.ascontiguousarray(np.asarray(self.scales, dtype=np.int64))
-        scales.setflags(write=False)
+        scales = _readonly(self.scales, np.int64)
         object.__setattr__(self, "scales", scales)
         if scales.ndim != 1 or len(scales) == 0:
             raise DataError("scale grid must be a nonempty 1-d array")
@@ -103,10 +102,8 @@ class FluctuationFunction:
     n: int
 
     def __post_init__(self):
-        scales = np.ascontiguousarray(np.asarray(self.scales, dtype=np.int64))
-        f = np.ascontiguousarray(np.asarray(self.f, dtype=np.float64))
-        scales.setflags(write=False)
-        f.setflags(write=False)
+        scales = _readonly(self.scales, np.int64)
+        f = _readonly(self.f, np.float64)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "f", f)
         if scales.shape != f.shape or scales.ndim != 1:

@@ -18,9 +18,10 @@ stays the contract.  A chunk of replicates does not build one
 ``SeedSequence`` per replicate: it mixes the entropy the chunk shares
 once, mixes in all of its indices at once with uint32 arithmetic, and
 hands each replicate's state words to ``PCG64``, which reproduces
-``replicate_rng`` bit for bit.  A replicate whose estimate is degenerate
-is redrawn from indices past ``n_replicates`` (capped at 1% of the
-ensemble) and the redraw count is reported.
+``replicate_rng`` bit for bit.  Degenerate replicates take, in order,
+the finite ones of one batch of redraws from the indices past
+``n_replicates`` (1% of the ensemble, at least one), and the number of
+redraw indices used is reported.
 
 Replicates are mapped in chunks by an ordered ``map`` that the caller
 passes in: the builtin ``map`` by default, or the map of a
@@ -39,10 +40,10 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .detrend import BLOCK_CELLS, Estimator, ScaleGrid, default_scales
+from .detrend import Estimator, ScaleGrid, default_scales
 from .errors import ConfigError, DataError, EstimationError
 from .scaling import DEFAULT_FIT_WINDOW, _in_range, detect_scaling_range, estimate
-from .timeseries import ReturnSeries, profile
+from .timeseries import ReturnSeries, _readonly, profile
 
 DEFAULT_SEED = 42
 SIGNIFICANCE_LEVEL = 0.01
@@ -61,8 +62,7 @@ class ShuffleTestResult:
     n_redraws: int = 0
 
     def __post_init__(self):
-        ensemble = np.ascontiguousarray(np.asarray(self.ensemble, dtype=np.float64))
-        ensemble.setflags(write=False)
+        ensemble = _readonly(self.ensemble, np.float64)
         object.__setattr__(self, "ensemble", ensemble)
         if len(ensemble) == 0:
             raise DataError("ensemble must be nonempty")
@@ -265,20 +265,19 @@ def _replicate_chunks(n: int, n_replicates: int) -> list[range]:
 def _shuffled_slopes(
     values, est: Estimator, scales, base_seed: int, prefix: tuple, indices: range
 ) -> np.ndarray:
-    """Exponents of the shuffled replicates ``indices``: the one window of all ``scales``."""
+    """Exponents of the shuffled replicates ``indices``: the one window of all ``scales``.
+
+    Every row is drawn first; then the whole chunk is demeaned and
+    integrated in place, which gives each row the ``profile`` of its
+    permutation whatever rows share the chunk.
+    """
     rows = np.empty((len(indices), len(values)), dtype=np.float64)
-    rngs = _replicate_rngs(base_seed, prefix, indices)
-    # draw, demean and integrate groups of about BLOCK_CELLS cells, so
-    # that each group is still in cache for the two passes
-    group = max(1, BLOCK_CELLS // len(values))
-    for k in range(0, len(rows), group):
-        block = rows[k : k + group]
-        for row, rng in zip(block, rngs):
-            # the same swaps ``permutation`` makes on its copy
-            row[:] = values
-            rng.shuffle(row)
-        block -= block.mean(axis=1, keepdims=True)
-        np.cumsum(block, axis=1, out=block)
+    for row, rng in zip(rows, _replicate_rngs(base_seed, prefix, indices)):
+        # the same swaps ``permutation`` makes on its copy
+        row[:] = values
+        rng.shuffle(row)
+    rows -= rows.mean(axis=1, keepdims=True)
+    np.cumsum(rows, axis=1, out=rows)
     return detect_scaling_range(est.fluctuation_matrix(rows, scales), scales, len(scales))[1]
 
 
@@ -297,8 +296,11 @@ def shuffle_exponents(
     Only the grid scales inside ``s_range`` are computed.  The chunks of
     replicates go through the ordered map ``pmap``, such as the map of a
     :func:`worker_map` block.  Returns the ensemble ordered by replicate
-    index and the number of redraws that were needed for degenerate
-    replicates.
+    index and the number of redraws used.  Degenerate (non-finite)
+    replicates take, in order, the finite slopes of one batch of redraws
+    from index ``n_replicates`` on, 1% of the ensemble and at least one;
+    the count runs to the last redraw taken, and too few finite redraws
+    raise ``EstimationError``.
     """
     _check_shuffle_args(n_replicates, base_seed)
     values = np.asarray(values, dtype=np.float64)
@@ -310,23 +312,19 @@ def shuffle_exponents(
     jobs = _replicate_chunks(len(values), n_replicates)
     ensemble = np.concatenate(list(pmap(slopes, jobs)))
 
-    # redraw degenerate replicates from indices past the ensemble
+    bad = np.flatnonzero(~np.isfinite(ensemble))
+    if len(bad) == 0:
+        return ensemble, 0
     max_redraws = max(1, n_replicates // 100)
-    n_redraws = 0
-    next_index = n_replicates
-    for slot in np.flatnonzero(~np.isfinite(ensemble)):
-        while True:
-            if n_redraws >= max_redraws:
-                raise EstimationError(
-                    f"{n_redraws} replicate redraws exhausted the cap "
-                    f"({max_redraws}); series is degenerate for {est.tag}"
-                )
-            n_redraws += 1
-            redraw = slopes(range(next_index, next_index + 1))[0]
-            next_index += 1
-            if np.isfinite(redraw):
-                ensemble[slot] = redraw
-                break
+    redraws = slopes(range(n_replicates, n_replicates + max_redraws))
+    good = np.flatnonzero(np.isfinite(redraws))
+    if len(good) < len(bad):
+        raise EstimationError(
+            f"{max_redraws} replicate redraws exhausted the cap "
+            f"({max_redraws}); series is degenerate for {est.tag}"
+        )
+    ensemble[bad] = redraws[good[: len(bad)]]
+    n_redraws = int(good[len(bad) - 1]) + 1
     return ensemble, n_redraws
 
 

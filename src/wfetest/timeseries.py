@@ -28,8 +28,9 @@ IRAQ_WAR = np.datetime64("2003-03-20")
 NAFTA = np.datetime64("1994-01-01")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _readonly(a, dtype) -> np.ndarray:
+    """``a`` as a C-contiguous, read-only array of ``dtype``."""
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -46,8 +47,8 @@ class PriceSeries:
     prices: np.ndarray  # float64
 
     def __post_init__(self):
-        dates = _readonly(np.asarray(self.dates, dtype="datetime64[D]"))
-        prices = _readonly(np.asarray(self.prices, dtype=np.float64))
+        dates = _readonly(self.dates, "datetime64[D]")
+        prices = _readonly(self.prices, np.float64)
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "prices", prices)
         if dates.shape != prices.shape or dates.ndim != 1:
@@ -71,8 +72,8 @@ class ReturnSeries:
     values: np.ndarray  # float64
 
     def __post_init__(self):
-        dates = _readonly(np.asarray(self.dates, dtype="datetime64[D]"))
-        values = _readonly(np.asarray(self.values, dtype=np.float64))
+        dates = _readonly(self.dates, "datetime64[D]")
+        values = _readonly(self.values, np.float64)
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "values", values)
         if dates.shape != values.shape or dates.ndim != 1:
@@ -98,7 +99,7 @@ class Profile:
     values: np.ndarray  # float64
 
     def __post_init__(self):
-        values = _readonly(np.asarray(self.values, dtype=np.float64))
+        values = _readonly(self.values, np.float64)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) == 0:
             raise DataError("profile must be a nonempty 1-d array")

@@ -165,13 +165,14 @@ class TestAnalyzeCommand:
         assert not missing_dir.exists()
         assert not list(tmp_path.glob("*.tmp.*"))
 
-    def test_threads_option_rejected(self, tmp_path, capsys):
-        # analyze runs no shuffles, so it has no workers to cap
+    @pytest.mark.parametrize("option", ["--threads", "--seed"])
+    def test_threads_option_rejected(self, tmp_path, capsys, option):
+        # analyze runs no shuffles, so it has no workers to cap and draws nothing
         prices = synth_prices(tmp_path, n=400)
         with pytest.raises(SystemExit) as exc:
-            run("analyze", "-i", prices, "--threads", 2, "-o", tmp_path / "a.csv")
+            run("analyze", "-i", prices, option, 2, "-o", tmp_path / "a.csv")
         assert exc.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
 
