@@ -324,8 +324,7 @@ def shuffle_exponents(
             f"({max_redraws}); series is degenerate for {est.tag}"
         )
     ensemble[bad] = redraws[good[: len(bad)]]
-    n_redraws = int(good[len(bad) - 1]) + 1
-    return ensemble, n_redraws
+    return ensemble, int(good[len(bad) - 1]) + 1
 
 
 def efficiency_test(
