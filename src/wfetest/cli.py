@@ -102,7 +102,7 @@ def _estimator(args: argparse.Namespace) -> Estimator:
 
 
 def _load(args: argparse.Namespace) -> PriceSeries:
-    loaded = load_prices(args.input, date_format=args.date_format)
+    loaded = load_prices(args.input)
     if loaded.dropped:
         print(
             f"note: dropped {loaded.dropped} rows with missing or "
@@ -112,14 +112,8 @@ def _load(args: argparse.Namespace) -> PriceSeries:
     return loaded.series
 
 
-def _add_input_options(sub: argparse.ArgumentParser) -> None:
+def _add_input_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", "-i", required=True, help="price CSV (date,price)")
-    sub.add_argument(
-        "--date-format",
-        choices=("iso", "us"),
-        default=None,
-        help="date column format; default: detect per file",
-    )
 
 
 def _add_method_options(sub: argparse.ArgumentParser) -> None:
@@ -355,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "analyze", help="fluctuation function and scaling exponent"
     )
-    _add_input_options(p)
+    _add_input_option(p)
     _add_method_options(p)
     _add_grid_options(p)
     _add_range_options(p, default="full")
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "test", help="shuffle test on the whole series or preset segments"
     )
-    _add_input_options(p)
+    _add_input_option(p)
     _add_method_options(p)
     _add_grid_options(p)
     _add_range_options(p, default="full")
@@ -401,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "rolling", help="windowed exponents with shuffle quantile bands"
     )
-    _add_input_options(p)
+    _add_input_option(p)
     _add_method_options(p)
     _add_common_options(p)
     _add_threads_option(p)

@@ -2,7 +2,7 @@
 
 Input files are plain text with one ``date,price`` record per line (an
 optional header line is allowed).  Dates may be ISO (``YYYY-MM-DD``) or
-US (``MM/DD/YYYY``); the format is auto-detected once per file.  All
+US (``MM/DD/YYYY``); the first data line's format holds for the file.  All
 downstream analysis operates on the log-return series and its profile
 (cumulative sum of demeaned returns).
 """
@@ -29,10 +29,36 @@ NAFTA = np.datetime64("1994-01-01")
 
 
 def _readonly(a, dtype) -> np.ndarray:
-    """``a`` as a C-contiguous, read-only array of ``dtype``."""
-    a = np.ascontiguousarray(a, dtype=dtype)
+    """``a`` as a C-contiguous, read-only, at least 1-d array of ``dtype``.
+
+    Only a view of a read-only array, such as a slice of another frozen
+    field, is kept uncopied, so the caller's array stays writable and no
+    writable array can change the result.
+    """
+    base = getattr(a, "base", None)
+    if (isinstance(base, np.ndarray) and not base.flags.writeable
+            and a.flags.c_contiguous and a.dtype == dtype):
+        return a
+    a = np.array(a, dtype=dtype, order="C", ndmin=1)
     a.setflags(write=False)
     return a
+
+
+def _freeze_dated(series, field: str) -> np.ndarray:
+    """Freeze ``series.dates`` and ``series.<field>``; return the latter.
+
+    Checks what every dated series needs: equal-length 1-d arrays and
+    strictly increasing dates.
+    """
+    dates = _readonly(series.dates, "datetime64[D]")
+    values = _readonly(getattr(series, field), np.float64)
+    object.__setattr__(series, "dates", dates)
+    object.__setattr__(series, field, values)
+    if dates.shape != values.shape or dates.ndim != 1:
+        raise DataError(f"dates and {field} must be 1-d arrays of equal length")
+    if not np.all(dates[1:] > dates[:-1]):
+        raise DataError("dates must be strictly increasing")
+    return values
 
 
 @dataclass(frozen=True)
@@ -47,16 +73,9 @@ class PriceSeries:
     prices: np.ndarray  # float64
 
     def __post_init__(self):
-        dates = _readonly(self.dates, "datetime64[D]")
-        prices = _readonly(self.prices, np.float64)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "prices", prices)
-        if dates.shape != prices.shape or dates.ndim != 1:
-            raise DataError("dates and prices must be 1-d arrays of equal length")
+        prices = _freeze_dated(self, "prices")
         if len(prices) < 2:
             raise InsufficientDataError("price series needs at least 2 observations")
-        if not np.all(dates[1:] > dates[:-1]):
-            raise DataError("dates must be strictly increasing")
         if not np.all(np.isfinite(prices)) or not np.all(prices > 0):
             raise DataError("prices must be positive and finite")
 
@@ -66,18 +85,16 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Log returns; each value is dated by the later of its two prices."""
+    """Log returns; each value is dated by the later of its two prices.
+
+    Invariants: nonempty, strictly increasing dates, every value finite.
+    """
 
     dates: np.ndarray  # datetime64[D]
     values: np.ndarray  # float64
 
     def __post_init__(self):
-        dates = _readonly(self.dates, "datetime64[D]")
-        values = _readonly(self.values, np.float64)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
-        if dates.shape != values.shape or dates.ndim != 1:
-            raise DataError("dates and values must be 1-d arrays of equal length")
+        values = _freeze_dated(self, "values")
         if len(values) == 0:
             raise InsufficientDataError("return series is empty")
         if not np.all(np.isfinite(values)):
@@ -118,13 +135,11 @@ class LoadedPrices(NamedTuple):
     """Result of :func:`load_prices`.
 
     ``dropped`` counts records discarded for missing/non-numeric/
-    non-positive prices; ``date_format`` is the detected format
-    (``"iso"`` or ``"us"``).
+    non-positive prices.
     """
 
     series: PriceSeries
     dropped: int
-    date_format: str
 
 
 # The sub-patterns ``datetime.strptime`` uses for %Y, %m and %d, so a
@@ -151,18 +166,7 @@ def _parse_date(text: str, fmt: str) -> date | None:
         return None
 
 
-def _detect_date_format(text: str) -> str | None:
-    for fmt in ("iso", "us"):
-        if _parse_date(text, fmt) is not None:
-            return fmt
-    return None
-
-
-def load_prices(
-    source: str | Path | IO[str] | IO[bytes],
-    *,
-    date_format: str | None = None,
-) -> LoadedPrices:
+def load_prices(source: str | Path | IO[str] | IO[bytes]) -> LoadedPrices:
     """Parse ``date,price`` lines into a :class:`PriceSeries`.
 
     Accepts a path or an open text/byte stream; bytes are decoded as
@@ -174,13 +178,9 @@ def load_prices(
     Duplicate dates raise :class:`DataError`.  Output is sorted
     ascending by date.
 
-    ``date_format`` may force ``"iso"`` or ``"us"``; by default the
-    format is detected from the first data line and applied to the whole
-    file.
+    The first data line's date picks ISO or US for the whole file, so a
+    later line in the other format is a :class:`FormatError` naming it.
     """
-    if date_format is not None and date_format not in _DATE_FORMATS:
-        raise FormatError(f"unknown date format {date_format!r} (use 'iso' or 'us')")
-
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             raw = fh.read()
@@ -195,7 +195,7 @@ def load_prices(
 
     records: list[tuple[date, float]] = []
     dropped = 0
-    fmt = date_format
+    fmt = None
     header_allowed = True
 
     for lineno, line in enumerate(lines, start=1):
@@ -206,14 +206,17 @@ def load_prices(
         date_text = parts[0]
         price_text = parts[1] if len(parts) > 1 else ""
 
-        line_fmt = fmt or _detect_date_format(date_text)
-        day = _parse_date(date_text, line_fmt) if line_fmt else None
+        day = None
+        for candidate in (fmt,) if fmt else _DATE_FORMATS:
+            day = _parse_date(date_text, candidate)
+            if day is not None:
+                fmt = candidate
+                break
         if day is None:
             if header_allowed:
                 header_allowed = False
                 continue
             raise FormatError(f"line {lineno}: unparseable date {date_text!r}")
-        fmt = line_fmt
         header_allowed = False
 
         if len(parts) > 2:
@@ -243,7 +246,7 @@ def load_prices(
         dups = sorted({str(d) for d in dates[1:][dup_mask]})
         raise DataError(f"duplicate dates: {', '.join(dups)}")
 
-    return LoadedPrices(PriceSeries(dates, prices), dropped, fmt or "iso")
+    return LoadedPrices(PriceSeries(dates, prices), dropped)
 
 
 def log_returns(p: PriceSeries) -> ReturnSeries:

@@ -153,11 +153,6 @@ class TestAnalyzeCommand:
         assert err.startswith("error: input is not UTF-8 text")
         assert "Traceback" not in err
 
-    def test_forced_wrong_date_format_fails(self, tmp_path):
-        prices = synth_prices(tmp_path, n=400)
-        assert run("analyze", "-i", prices, "--date-format", "us",
-                   "-o", tmp_path / "a.csv") == 1
-
     def test_unwritable_output_fails_cleanly(self, tmp_path):
         prices = synth_prices(tmp_path, n=400)
         missing_dir = tmp_path / "no" / "such" / "dir"
@@ -165,14 +160,21 @@ class TestAnalyzeCommand:
         assert not missing_dir.exists()
         assert not list(tmp_path.glob("*.tmp.*"))
 
-    @pytest.mark.parametrize("option", ["--threads", "--seed"])
-    def test_threads_option_rejected(self, tmp_path, capsys, option):
+    @pytest.mark.parametrize("command, option, value", [
         # analyze runs no shuffles, so it has no workers to cap and draws nothing
+        ("analyze", "--threads", "2"),
+        ("analyze", "--seed", "2"),
+        # the date format is read from the file
+        ("analyze", "--date-format", "iso"),
+        ("test", "--date-format", "iso"),
+        ("rolling", "--date-format", "us"),
+    ])
+    def test_option_rejected(self, tmp_path, capsys, command, option, value):
         prices = synth_prices(tmp_path, n=400)
         with pytest.raises(SystemExit) as exc:
-            run("analyze", "-i", prices, option, 2, "-o", tmp_path / "a.csv")
+            run(command, "-i", prices, option, value, "-o", tmp_path / "a.csv")
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
 

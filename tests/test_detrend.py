@@ -599,6 +599,12 @@ class TestScaleGrid:
         with pytest.raises(ScaleRangeError):
             ScaleGrid(np.array([1, 5]))
 
+    def test_caller_array_stays_writable(self):
+        s = np.array([4, 8, 16])
+        grid = ScaleGrid(s)
+        s[0] = 2
+        assert grid.scales.tolist() == [4, 8, 16]
+
     def test_scale_bounds_checked(self):
         prof = np.arange(50.0)
         with pytest.raises(ScaleRangeError):

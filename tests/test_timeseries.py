@@ -70,7 +70,6 @@ class TestLoadPrices:
         )
         loaded = load_prices(path)
         assert loaded.dropped == 0
-        assert loaded.date_format == "iso"
         assert loaded.series.dates.tolist() == [
             np.datetime64("1990-01-02"),
             np.datetime64("1990-01-03"),
@@ -94,19 +93,18 @@ class TestLoadPrices:
             tmp_path, "date,price\n01/02/1990,20.5\n1/3/1990,21.0\n"
         )
         loaded = load_prices(path)
-        assert loaded.date_format == "us"
         assert loaded.series.dates[0] == np.datetime64("1990-01-02")
         assert loaded.series.dates[1] == np.datetime64("1990-01-03")
 
-    def test_forced_format_rejects_other(self, tmp_path):
-        path = write_csv(tmp_path, "01/02/1990,20.5\n01/03/1990,21.0\n")
-        with pytest.raises(FormatError):
-            load_prices(path, date_format="iso")
-
-    def test_unknown_format_name(self, tmp_path):
-        path = write_csv(tmp_path, "1990-01-02,20.5\n")
-        with pytest.raises(FormatError):
-            load_prices(path, date_format="excel")
+    @pytest.mark.parametrize("text", [
+        "01/02/1990,20.5\n1990-01-03,21.0\n1990-01-04,21.5\n",
+        "1990-01-02,20.5\n01/03/1990,21.0\n01/04/1990,21.5\n",
+    ])
+    def test_first_row_fixes_the_format(self, tmp_path, text):
+        # the second row is not taken for a header: the run fails there
+        path = write_csv(tmp_path, text)
+        with pytest.raises(FormatError, match="^line 2: unparseable date '"):
+            load_prices(path)
 
     def test_bad_prices_dropped_and_counted(self, tmp_path):
         path = write_csv(
@@ -209,10 +207,13 @@ class TestLoadPrices:
 
 
 class TestSeriesTypes:
-    def test_prices_must_increase(self):
-        dates = np.array(["1990-01-02", "1990-01-02"], dtype="datetime64[D]")
-        with pytest.raises(DataError):
-            PriceSeries(dates, np.array([1.0, 2.0]))
+    @pytest.mark.parametrize("kind", [PriceSeries, ReturnSeries])
+    @pytest.mark.parametrize("days", [["1990-01-02", "1990-01-02"],
+                                      ["1990-01-03", "1990-01-02"]])
+    def test_dates_must_increase(self, kind, days):
+        dates = np.array(days, dtype="datetime64[D]")
+        with pytest.raises(DataError, match="^dates must be strictly increasing$"):
+            kind(dates, np.array([1.0, 2.0]))
 
     def test_prices_must_be_positive_finite(self):
         dates = day_range(2)
@@ -233,6 +234,27 @@ class TestSeriesTypes:
             series.prices[0] = 5.0
         with pytest.raises(ValueError):
             series.dates[0] = np.datetime64("2000-01-01")
+
+    @pytest.mark.parametrize("kind, field", [(PriceSeries, "prices"), (ReturnSeries, "values")])
+    def test_caller_arrays_stay_writable_and_unshared(self, kind, field):
+        dates, first = day_range(4), day_range(1)[0]
+        owner = np.array([1.0, 2.0, 3.0, 4.0])
+        frozen_view = owner[:]
+        frozen_view.setflags(write=False)
+        for values in (owner, owner[:], frozen_view):
+            series = kind(dates, values)
+            owner[0], dates[0] = 99.0, np.datetime64("1980-01-01")
+            assert getattr(series, field)[0] == 1.0 and series.dates[0] == first
+            owner[0], dates[0] = 1.0, first
+        assert owner.flags.writeable and dates.flags.writeable
+
+    def test_window_of_a_series_shares_its_memory(self):
+        r = log_returns(PriceSeries(day_range(6), np.arange(1.0, 7.0)))
+        window = ReturnSeries(r.dates[1:4], r.values[1:4])
+        inner = ReturnSeries(window.dates[1:], window.values[1:])
+        for w in (window, inner):
+            assert np.shares_memory(w.values, r.values)
+            assert np.shares_memory(w.dates, r.dates)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
