@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .detrend import Estimator, default_scales
+from .detrend import Estimator
 from .errors import WfeError
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
-from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, _fit_window, estimate
+from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, _fit_geometry, estimate
 from .shuffletest import (
     DEFAULT_SEED,
     _check_shuffle_args,
@@ -135,15 +135,6 @@ def _add_method_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_grid_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--points-per-decade",
-        type=int,
-        default=20,
-        help="target scale-grid density (default 20)",
-    )
-
-
 def _add_range_options(sub: argparse.ArgumentParser, default: str) -> None:
     sub.add_argument(
         "--range",
@@ -189,9 +180,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     series = _load(args)
     est = _estimator(args)
     r = log_returns(series)
-    y = profile(r)
-    grid = default_scales(y.n, args.points_per_decade)
-    f, fit = estimate(y, grid, est, args.range_policy, args.window_len)
+    f, fit = estimate(profile(r), est, args.range_policy, args.window_len)
     relations = {"eta": fit.eta, "gamma": fit.gamma}
 
     config = _config_dict(args)
@@ -243,22 +232,20 @@ def cmd_test(args: argparse.Namespace) -> int:
         label = f"{seg.dates[0]}..{seg.dates[-1]}"
         try:
             r = log_returns(seg)
-            grid = default_scales(len(r.values), args.points_per_decade)
-            _fit_window(args.window_len, len(grid.scales), args.range_policy)
+            _fit_geometry(len(r.values), args.range_policy, args.window_len)
         except WfeError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
-        prepared.append((seg, label, r, grid))
+        prepared.append((seg, label, r))
 
     # one pool serves every segment, sized for the longest job list
     seg_docs = []
     jobs = max(len(_replicate_chunks(len(r.values), args.n_shuffles))
-               for _, _, r, _ in prepared)
+               for _, _, r in prepared)
     with worker_map(args.threads, jobs) as pmap:
-        for seg, label, r, grid in prepared:
+        for seg, label, r in prepared:
             res = efficiency_test(
                 r,
                 est,
-                grid=grid,
                 range_policy=args.range_policy,
                 window_len=args.window_len,
                 n_replicates=args.n_shuffles,
@@ -351,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_option(p)
     _add_method_options(p)
-    _add_grid_options(p)
     _add_range_options(p, default="full")
     # analyze draws nothing, so it takes no seed
     _add_output_option(p)
@@ -366,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_option(p)
     _add_method_options(p)
-    _add_grid_options(p)
     _add_range_options(p, default="full")
     _add_common_options(p)
     _add_threads_option(p)
@@ -374,16 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-shuffles", type=int, default=10000,
         help="shuffle replicates per segment (default 10000)",
     )
-    p.add_argument(
+    segmentation = p.add_mutually_exclusive_group()
+    segmentation.add_argument(
         "--subseries",
         choices=tuple(SUBSERIES_CUTS),
         default="whole",
         help="segmentation preset (default whole)",
     )
-    p.add_argument(
+    segmentation.add_argument(
         "--cuts",
         default=None,
-        help="comma-separated ISO cut dates overriding the preset",
+        help="comma-separated ISO cut dates, instead of a preset",
     )
     p.add_argument(
         "--include-ensemble",

@@ -55,6 +55,9 @@ from .timeseries import Profile, _readonly
 # one point of slack.
 MIN_GRID_POINTS = 16
 
+# Density of the one scale grid that every estimate uses.
+_POINTS_PER_DECADE = 20
+
 DMA_MIN_SCALE = 3
 
 # Both kernels work through the rows in blocks of about this many
@@ -154,16 +157,15 @@ class Estimator:
         return dfa_fluctuation_matrix(profiles, scales, self.order)
 
 
-def default_scales(n: int, points_per_decade: int = 20) -> ScaleGrid:
-    """Log-spaced integer scales from 10 to n // 10.
+def default_scales(n: int) -> ScaleGrid:
+    """The scale grid of a series of length n: integer scales from 10 to n // 10.
 
-    The requested density is a target; the grid is densified as needed
-    so that at least MIN_GRID_POINTS distinct scales come out.  Raises
-    InsufficientDataError when [10, n // 10] cannot hold that many
-    integers.
+    The grid is a logspace of 20 points a decade and at least
+    MIN_GRID_POINTS points, rounded to integers; where rounding leaves
+    fewer than MIN_GRID_POINTS distinct scales, the logspace is doubled
+    until enough come out.  Raises InsufficientDataError when
+    [10, n // 10] cannot hold that many integers.
     """
-    if points_per_decade < 1:
-        raise DataError("points_per_decade must be >= 1")
     s_max = n // 10
     available = s_max - 10 + 1
     if available < MIN_GRID_POINTS:
@@ -172,18 +174,15 @@ def default_scales(n: int, points_per_decade: int = 20) -> ScaleGrid:
             f"[10, {s_max}]; need at least {MIN_GRID_POINTS}"
         )
     decades = math.log10(s_max / 10.0)
-    # from this count on, points lie <= 0.5 apart and round to every integer
-    dense = math.ceil(decades / math.log10(1 + 1 / (2 * s_max))) + 1
-    num = min(max(math.ceil(points_per_decade * decades) + 1, MIN_GRID_POINTS), dense)
-    for trial in (num, 2 * num, 4 * num, 8 * num):
+    num = max(math.ceil(_POINTS_PER_DECADE * decades) + 1, MIN_GRID_POINTS)
+    while True:
         scales = np.unique(
-            np.round(np.logspace(1.0, math.log10(s_max), trial)).astype(np.int64)
+            np.round(np.logspace(1.0, math.log10(s_max), num)).astype(np.int64)
         )
         if len(scales) >= MIN_GRID_POINTS:
-            break
-    else:
-        scales = np.arange(10, s_max + 1, dtype=np.int64)
-    return ScaleGrid(scales)
+            return ScaleGrid(scales)
+        # terminates: a dense enough logspace rounds onto every integer in range
+        num *= 2
 
 
 def _window_split(s: int, theta: float) -> tuple[int, int]:

@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .detrend import Estimator, ScaleGrid, default_scales
+from .detrend import Estimator
 from .errors import ConfigError, InsufficientDataError
-from .scaling import DEFAULT_FIT_WINDOW, _fit_window
+from .scaling import DEFAULT_FIT_WINDOW, _fit_geometry
 from .shuffletest import (
     DEFAULT_SEED,
     ShuffleTestResult,
@@ -71,7 +71,6 @@ def window_result(
     window: ReturnSeries,
     start: int,
     est: Estimator,
-    grid: ScaleGrid | None = None,
     window_len: int = DEFAULT_FIT_WINDOW,
     n_shuffles: int = 1000,
     seed: int = DEFAULT_SEED,
@@ -79,9 +78,11 @@ def window_result(
     """Full pipeline on one window of returns, which starts at index ``start``.
 
     ``window`` holds only the window's own returns; ``start`` is where it
-    begins in the whole series.  Replicate seeds depend only on (seed,
-    start, replicate index), never on which other windows are being
-    computed, so this reproduces the corresponding row of
+    begins in the whole series.  H is fitted over the minimal-residual
+    window of ``window_len`` points of the window's own scale grid,
+    ``default_scales(len(window.values))``.  Replicate seeds depend only
+    on (seed, start, replicate index), never on which other windows are
+    being computed, so this reproduces the corresponding row of
     :func:`rolling_analysis` bit-exactly.
     """
     if start < 0:
@@ -89,7 +90,6 @@ def window_result(
     res = efficiency_test(
         window,
         est,
-        grid=grid,
         range_policy="auto",
         window_len=window_len,
         n_replicates=n_shuffles,
@@ -123,10 +123,9 @@ def rolling_analysis(
         raise ConfigError(f"step must be >= 1, got {step}")
     _check_shuffle_args(n_shuffles, seed)
     try:
-        grid = default_scales(window_size)
+        _fit_geometry(window_size, "auto", window_len)
     except InsufficientDataError as exc:
         raise ConfigError(f"window_size {window_size} too small: {exc}") from exc
-    _fit_window(window_len, len(grid.scales))
     if len(r.values) < window_size:
         raise ConfigError(
             f"series has {len(r.values)} returns, fewer than the window "
@@ -140,8 +139,7 @@ def rolling_analysis(
         for start in starts
     ]
     test = partial(
-        window_result, est=est, grid=grid, window_len=window_len,
-        n_shuffles=n_shuffles, seed=seed,
+        window_result, est=est, window_len=window_len, n_shuffles=n_shuffles, seed=seed
     )
     results: list[WindowResult] = []
     with worker_map(workers, len(windows)) as pmap:

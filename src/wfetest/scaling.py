@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detrend import Estimator, FluctuationFunction, ScaleGrid, fluctuation
+from .detrend import Estimator, FluctuationFunction, ScaleGrid, default_scales, fluctuation
 from .errors import ConfigError, DataError, DegenerateInputError, InsufficientDataError
 from .timeseries import Profile
 
@@ -155,19 +155,25 @@ def detect_scaling_range(
     return start, slopes[np.arange(len(best)), best]
 
 
+def _fit_geometry(n: int, range_policy: str, window_len: int) -> tuple[ScaleGrid, int]:
+    """The scale grid of a series of n returns and its fit window's point count."""
+    grid = default_scales(n)
+    return grid, _fit_window(window_len, len(grid), range_policy)
+
+
 def estimate(
     y: Profile,
-    grid: ScaleGrid,
     est: Estimator,
     range_policy: str = "full",
     window_len: int = DEFAULT_FIT_WINDOW,
 ) -> tuple[FluctuationFunction, ScalingFit]:
     """Fluctuation function of the profile and its fit over the range rule's window.
 
-    ``range_policy`` ``"full"`` is the one window of the whole grid, and
-    ``"auto"`` the minimal-residual window of ``window_len`` grid points.
+    F is computed on ``default_scales(y.n)``.  ``range_policy``
+    ``"full"`` is the one window of the whole grid, and ``"auto"`` the
+    minimal-residual window of ``window_len`` grid points.
     """
-    n_fit = _fit_window(window_len, len(grid.scales), range_policy)
+    grid, n_fit = _fit_geometry(y.n, range_policy, window_len)
     f = fluctuation(y, grid, est)
     (lo,), _ = detect_scaling_range(f.f[None, :], f.scales, n_fit)
     if lo < 0:

@@ -40,7 +40,7 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .detrend import Estimator, ScaleGrid, default_scales
+from .detrend import Estimator
 from .errors import ConfigError, DataError, EstimationError
 from .scaling import DEFAULT_FIT_WINDOW, _in_range, detect_scaling_range, estimate
 from .timeseries import ReturnSeries, _readonly, profile
@@ -330,7 +330,6 @@ def shuffle_exponents(
 def efficiency_test(
     r: ReturnSeries,
     est: Estimator,
-    grid: ScaleGrid | None = None,
     range_policy: str = "full",
     window_len: int = DEFAULT_FIT_WINDOW,
     n_replicates: int = 10000,
@@ -340,20 +339,19 @@ def efficiency_test(
 ) -> ShuffleTestResult:
     """Estimate H, build the shuffle ensemble, and test the null H = <H_s>.
 
-    ``range_policy`` is ``"full"`` (fit the whole grid, the default for
-    whole-series runs) or ``"auto"`` (minimal-residual window of
-    ``window_len`` grid points).  Shuffled replicates always reuse the
-    original series' scaling range, and the ensemble is mapped with
-    ``pmap`` as in :func:`shuffle_exponents`.  A bad replicate count or
-    seed fails before anything is estimated.
+    H is fitted by :func:`estimate` on ``default_scales`` of the series
+    length.  ``range_policy`` is ``"full"`` (fit the whole grid, the
+    default for whole-series runs) or ``"auto"`` (minimal-residual
+    window of ``window_len`` grid points).  Shuffled replicates always
+    reuse the original series' scaling range, and the ensemble is mapped
+    with ``pmap`` as in :func:`shuffle_exponents`.  A bad replicate count
+    or seed fails before anything is estimated.
     """
     _check_shuffle_args(n_replicates, seed)
-    if grid is None:
-        grid = default_scales(len(r.values))
-    _, fit = estimate(profile(r), grid, est, range_policy, window_len)
+    f, fit = estimate(profile(r), est, range_policy, window_len)
 
     ensemble, n_redraws = shuffle_exponents(
-        r.values, est, grid.scales, (fit.s_lo, fit.s_hi), n_replicates,
+        r.values, est, f.scales, (fit.s_lo, fit.s_hi), n_replicates,
         seed, spawn_prefix, pmap,
     )
     return ShuffleTestResult(

@@ -1,10 +1,11 @@
 """Dated price series: ingestion, log returns, profiles, event splits.
 
 Input files are plain text with one ``date,price`` record per line (an
-optional header line is allowed).  Dates may be ISO (``YYYY-MM-DD``) or
-US (``MM/DD/YYYY``); the first data line's format holds for the file.  All
-downstream analysis operates on the log-return series and its profile
-(cumulative sum of demeaned returns).
+optional header line, whose date field holds no digit, is skipped).
+Dates may be ISO (``YYYY-MM-DD``) or US (``MM/DD/YYYY``); the first data
+line's format holds for the file.  All downstream analysis operates on
+the log-return series and its profile (cumulative sum of demeaned
+returns).
 """
 
 from __future__ import annotations
@@ -171,10 +172,11 @@ def load_prices(source: str | Path | IO[str] | IO[bytes]) -> LoadedPrices:
 
     Accepts a path or an open text/byte stream; bytes are decoded as
     UTF-8, and a leading byte-order mark is skipped.  Lines starting with
-    ``#`` are ignored (this tool's own artifacts carry such a preamble)
-    and one header line is skipped.  Records with missing, non-numeric,
-    or non-positive prices are dropped and counted; a line with an
-    unparseable date is a :class:`FormatError` naming the line.
+    ``#`` are ignored (this tool's own artifacts carry such a preamble).
+    The first other line is skipped as a header when its date field
+    holds no digit; any other line with an unparseable date is a
+    :class:`FormatError` naming the line.  Records with missing,
+    non-numeric, or non-positive prices are dropped and counted.
     Duplicate dates raise :class:`DataError`.  Output is sorted
     ascending by date.
 
@@ -213,7 +215,8 @@ def load_prices(source: str | Path | IO[str] | IO[bytes]) -> LoadedPrices:
                 fmt = candidate
                 break
         if day is None:
-            if header_allowed:
+            # a header names its columns; a date field with a digit is a bad row
+            if header_allowed and not any(c.isdigit() for c in date_text):
                 header_allowed = False
                 continue
             raise FormatError(f"line {lineno}: unparseable date {date_text!r}")

@@ -126,13 +126,6 @@ class TestAnalyzeCommand:
         doc = json.loads(out.read_text())
         assert doc["fit"]["n_points"] == 15
 
-    def test_huge_density_gives_every_integer_scale(self, tmp_path):
-        prices = synth_prices(tmp_path, n=600)
-        out = tmp_path / "a.json"
-        assert run("analyze", "-i", prices, "--points-per-decade", 10**12,
-                   "--format", "json", "-o", out) == 0
-        assert json.loads(out.read_text())["scales"] == list(range(10, 61))
-
     def test_three_point_file_fails(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("1990-01-02,10.0\n1990-01-03,10.5\n1990-01-04,10.2\n")
@@ -168,6 +161,9 @@ class TestAnalyzeCommand:
         ("analyze", "--date-format", "iso"),
         ("test", "--date-format", "iso"),
         ("rolling", "--date-format", "us"),
+        # the scale grid follows from the series length
+        ("analyze", "--points-per-decade", "20"),
+        ("test", "--points-per-decade", "20"),
     ])
     def test_option_rejected(self, tmp_path, capsys, command, option, value):
         prices = synth_prices(tmp_path, n=400)
@@ -276,6 +272,19 @@ class TestTestCommand:
         assert run("test", "-i", prices, "--cuts", "2000-13-01",
                    "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
         assert capsys.readouterr().err.startswith("error: cut date 1 of 1")
+
+    @pytest.mark.parametrize("first, second", [
+        (["--subseries", "gulf-iraq"], ["--cuts", "2000-10-01"]),
+        (["--cuts", "2000-10-01"], ["--subseries", "nafta"]),
+    ])
+    def test_preset_and_cuts_exclude_each_other(self, tmp_path, capsys, first, second):
+        prices = synth_prices(tmp_path, n=500)
+        out = tmp_path / "t.json"
+        with pytest.raises(SystemExit) as exc:
+            run("test", "-i", prices, *first, *second, "--n-shuffles", 10, "-o", out)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["test"], ["rolling", "--window", 300]])
     def test_nonpositive_threads_fail(self, tmp_path, capsys, monkeypatch, command):

@@ -6,7 +6,7 @@ import pytest
 
 from wfetest import shuffletest
 from wfetest.cli import main
-from wfetest.detrend import Estimator, FluctuationFunction, ScaleGrid, default_scales
+from wfetest.detrend import Estimator, FluctuationFunction, default_scales
 from wfetest.errors import ConfigError, DataError, EstimationError
 from wfetest.rolling import WINDOW_CSV_HEADER
 from wfetest.scaling import fit_power_law
@@ -348,12 +348,6 @@ class TestEfficiencyTest:
         )
         assert res.p < SIGNIFICANCE_LEVEL
         assert res.rejected
-
-    def test_explicit_grid_respected(self):
-        r = make_returns(1000)
-        grid = ScaleGrid(np.arange(10, 60))
-        res = efficiency_test(r, Estimator.dfa(), grid=grid, n_replicates=30, seed=1)
-        assert res.s_lo == 10 and res.s_hi == 59
 
     def test_summary_line(self):
         res = efficiency_test(make_returns(900), Estimator.dma(0.5),

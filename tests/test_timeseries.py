@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from datetime import date, datetime
 
 import numpy as np
@@ -105,6 +106,22 @@ class TestLoadPrices:
         path = write_csv(tmp_path, text)
         with pytest.raises(FormatError, match="^line 2: unparseable date '"):
             load_prices(path)
+
+    @pytest.mark.parametrize("first", ["1985-02-30,10", "1985-03-01;10"])
+    def test_first_row_with_a_digit_is_not_a_header(self, tmp_path, first):
+        # an impossible date or a stray separator fails the run instead
+        # of losing the row uncounted
+        path = write_csv(tmp_path, f"{first}\n1985-03-01,11\n1985-03-04,12\n")
+        message = f"line 1: unparseable date {first.split(',')[0]!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_prices(path)
+
+    @pytest.mark.parametrize("header", ["date,price", "Date;Price", "DATE"])
+    def test_header_without_digits_skipped(self, tmp_path, header):
+        path = write_csv(tmp_path, f"# note 1\n{header}\n1985-03-01,11\n1985-03-04,12\n")
+        loaded = load_prices(path)
+        assert loaded.dropped == 0
+        assert loaded.series.prices.tolist() == [11.0, 12.0]
 
     def test_bad_prices_dropped_and_counted(self, tmp_path):
         path = write_csv(
