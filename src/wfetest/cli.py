@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .detrend import Estimator
+from .detrend import Estimator, default_scales
 from .errors import WfeError
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
-from .scaling import DEFAULT_FIT_WINDOW, RANGE_POLICIES, _fit_geometry, estimate
+from .scaling import RANGE_POLICIES, estimate
 from .shuffletest import (
     DEFAULT_SEED,
     _check_shuffle_args,
@@ -144,17 +144,6 @@ def _add_range_options(sub: argparse.ArgumentParser, default: str) -> None:
         help=f"scaling range: whole grid or minimal-residual window "
         f"(default {default})",
     )
-    _add_window_len_option(sub)
-
-
-def _add_window_len_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--window-len",
-        type=int,
-        default=DEFAULT_FIT_WINDOW,
-        help="grid points in the range-search window (default "
-        f"{DEFAULT_FIT_WINDOW})",
-    )
 
 
 def _add_output_option(sub: argparse.ArgumentParser) -> None:
@@ -180,7 +169,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     series = _load(args)
     est = _estimator(args)
     r = log_returns(series)
-    f, fit = estimate(profile(r), est, args.range_policy, args.window_len)
+    f, fit = estimate(profile(r), est, args.range_policy)
     relations = {"eta": fit.eta, "gamma": fit.gamma}
 
     config = _config_dict(args)
@@ -219,20 +208,21 @@ def cmd_test(args: argparse.Namespace) -> int:
     _check_shuffle_args(args.n_shuffles, args.seed)
     series = _load(args)
     est = _estimator(args)
+    args.subseries = args.subseries or "whole"  # echoed in the config
     if args.cuts is not None:
         cuts = tuple(part.strip() for part in args.cuts.split(","))
     else:
         cuts = SUBSERIES_CUTS[args.subseries]
     segments = split_by_dates(series, cuts)
 
-    # every segment's returns, grid and fit window before the first
-    # shuffle, so that a segment too short to test fails the run at once
+    # every segment's returns and grid before the first shuffle, so that
+    # a segment too short to test fails the run at once
     prepared = []
     for seg in segments:
         label = f"{seg.dates[0]}..{seg.dates[-1]}"
         try:
             r = log_returns(seg)
-            _fit_geometry(len(r.values), args.range_policy, args.window_len)
+            default_scales(len(r.values))
         except WfeError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
         prepared.append((seg, label, r))
@@ -247,7 +237,6 @@ def cmd_test(args: argparse.Namespace) -> int:
                 r,
                 est,
                 range_policy=args.range_policy,
-                window_len=args.window_len,
                 n_replicates=args.n_shuffles,
                 seed=args.seed,
                 pmap=pmap,
@@ -286,7 +275,6 @@ def cmd_rolling(args: argparse.Namespace) -> int:
         step=args.step,
         est=est,
         n_shuffles=args.n_shuffles,
-        window_len=args.window_len,
         seed=args.seed,
         workers=args.threads,
         progress=report,
@@ -363,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     segmentation.add_argument(
         "--subseries",
         choices=tuple(SUBSERIES_CUTS),
-        default="whole",
+        # None, not "whole": argparse takes an option holding its default
+        # object for absent, and "whole" must still conflict with --cuts
+        default=None,
         help="segmentation preset (default whole)",
     )
     segmentation.add_argument(
@@ -396,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-shuffles", type=int, default=1000,
         help="shuffle replicates per window (default 1000)",
     )
-    _add_window_len_option(p)
     p.set_defaults(func=cmd_rolling)
 
     p = subs.add_parser(

@@ -51,8 +51,8 @@ import numpy as np
 from .errors import DataError, InsufficientDataError, ScaleRangeError
 from .timeseries import Profile, _readonly
 
-# Minimum number of grid points: the scaling-range search needs 15, plus
-# one point of slack.
+# Minimum number of grid points: scaling.FIT_WINDOW, the 15 points of the
+# auto range's fit window, plus one point of slack.
 MIN_GRID_POINTS = 16
 
 # Density of the one scale grid that every estimate uses.

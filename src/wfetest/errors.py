@@ -10,7 +10,7 @@ class FormatError(WfeError):
 
 
 class DataError(WfeError):
-    """Parsed input violates a data contract (duplicates, empty segment, ...)."""
+    """Parsed input violates a data contract (duplicates, bad cut date, ...)."""
 
 
 class InsufficientDataError(WfeError):
@@ -18,7 +18,7 @@ class InsufficientDataError(WfeError):
 
 
 class ScaleRangeError(WfeError):
-    """A scale or cut date lies outside the admissible range."""
+    """A box size lies outside the range its method or series admits."""
 
 
 class DegenerateInputError(WfeError):

@@ -23,9 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .detrend import Estimator
+from .detrend import Estimator, default_scales
 from .errors import ConfigError, InsufficientDataError
-from .scaling import DEFAULT_FIT_WINDOW, _fit_geometry
 from .shuffletest import (
     DEFAULT_SEED,
     ShuffleTestResult,
@@ -71,7 +70,6 @@ def window_result(
     window: ReturnSeries,
     start: int,
     est: Estimator,
-    window_len: int = DEFAULT_FIT_WINDOW,
     n_shuffles: int = 1000,
     seed: int = DEFAULT_SEED,
 ) -> WindowResult:
@@ -79,7 +77,7 @@ def window_result(
 
     ``window`` holds only the window's own returns; ``start`` is where it
     begins in the whole series.  H is fitted over the minimal-residual
-    window of ``window_len`` points of the window's own scale grid,
+    window of ``scaling.FIT_WINDOW`` points of the window's own scale grid,
     ``default_scales(len(window.values))``.  Replicate seeds depend only
     on (seed, start, replicate index), never on which other windows are
     being computed, so this reproduces the corresponding row of
@@ -91,7 +89,6 @@ def window_result(
         window,
         est,
         range_policy="auto",
-        window_len=window_len,
         n_replicates=n_shuffles,
         seed=seed,
         spawn_prefix=(start,),
@@ -105,7 +102,6 @@ def rolling_analysis(
     step: int = 1,
     est: Estimator = Estimator.dfa(),
     n_shuffles: int = 1000,
-    window_len: int = DEFAULT_FIT_WINDOW,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
@@ -123,7 +119,7 @@ def rolling_analysis(
         raise ConfigError(f"step must be >= 1, got {step}")
     _check_shuffle_args(n_shuffles, seed)
     try:
-        _fit_geometry(window_size, "auto", window_len)
+        default_scales(window_size)
     except InsufficientDataError as exc:
         raise ConfigError(f"window_size {window_size} too small: {exc}") from exc
     if len(r.values) < window_size:
@@ -138,9 +134,7 @@ def rolling_analysis(
         ReturnSeries(r.dates[start : start + window_size], r.values[start : start + window_size])
         for start in starts
     ]
-    test = partial(
-        window_result, est=est, window_len=window_len, n_shuffles=n_shuffles, seed=seed
-    )
+    test = partial(window_result, est=est, n_shuffles=n_shuffles, seed=seed)
     results: list[WindowResult] = []
     with worker_map(workers, len(windows)) as pmap:
         for res in pmap(test, windows, starts):

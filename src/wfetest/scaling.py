@@ -2,9 +2,10 @@
 
 H is the slope of an ordinary least-squares fit of ln F against ln s.
 One range rule, :func:`detect_scaling_range`, picks each row's window of
-exactly ``window_len`` grid points with the smallest fitting residual,
-ties going to the earliest.  The ``full`` range policy and a shuffle
-ensemble's fixed range are its one window of the whole grid.
+a given number of grid points with the smallest fitting residual, ties
+going to the earliest.  The ``auto`` range policy fits the paper's
+window of ``FIT_WINDOW`` points; the ``full`` range policy and a shuffle
+ensemble's fixed range are the one window of the whole grid.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detrend import Estimator, FluctuationFunction, ScaleGrid, default_scales, fluctuation
+from .detrend import Estimator, FluctuationFunction, default_scales, fluctuation
 from .errors import ConfigError, DataError, DegenerateInputError, InsufficientDataError
 from .timeseries import Profile
 
-DEFAULT_FIT_WINDOW = 15
+FIT_WINDOW = 15
 
 RANGE_POLICIES = ("full", "auto")
 
@@ -115,24 +116,8 @@ def fit_power_law(
     )
 
 
-def _fit_window(window_len: int, n_scales: int, range_policy: str = "auto") -> int:
-    """Points per fit window on n_scales grid points: window_len, or all under "full".
-
-    window_len must be >= 2 under either policy, and fit the grid where it is used.
-    """
-    if range_policy not in RANGE_POLICIES:
-        raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
-    if window_len < 2:
-        raise ConfigError(f"window_len must be >= 2, got {window_len}")
-    if range_policy == "full":
-        return n_scales
-    if window_len > n_scales:
-        raise ConfigError(f"window_len {window_len} exceeds the {n_scales}-point scale grid")
-    return window_len
-
-
 def detect_scaling_range(
-    f_matrix: np.ndarray, scales: np.ndarray, window_len: int = DEFAULT_FIT_WINDOW
+    f_matrix: np.ndarray, scales: np.ndarray, window_len: int = FIT_WINDOW
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's window of window_len grid points with the smallest rss.
 
@@ -142,7 +127,12 @@ def detect_scaling_range(
     nonpositive or non-finite F never wins; a row left with none gets
     start -1 and slope NaN.
     """
-    _fit_window(window_len, len(scales))
+    if window_len < 2:
+        raise ConfigError(f"window_len must be >= 2, got {window_len}")
+    if window_len > len(scales):
+        raise ConfigError(
+            f"window_len {window_len} exceeds the {len(scales)}-point scale grid"
+        )
     logf = np.log(np.where(np.isfinite(f_matrix) & (f_matrix > 0), f_matrix, np.nan))
     slopes, rss = _ols(
         sliding_window_view(np.log(np.asarray(scales, dtype=np.float64)), window_len),
@@ -155,25 +145,19 @@ def detect_scaling_range(
     return start, slopes[np.arange(len(best)), best]
 
 
-def _fit_geometry(n: int, range_policy: str, window_len: int) -> tuple[ScaleGrid, int]:
-    """The scale grid of a series of n returns and its fit window's point count."""
-    grid = default_scales(n)
-    return grid, _fit_window(window_len, len(grid), range_policy)
-
-
 def estimate(
-    y: Profile,
-    est: Estimator,
-    range_policy: str = "full",
-    window_len: int = DEFAULT_FIT_WINDOW,
+    y: Profile, est: Estimator, range_policy: str = "full"
 ) -> tuple[FluctuationFunction, ScalingFit]:
     """Fluctuation function of the profile and its fit over the range rule's window.
 
     F is computed on ``default_scales(y.n)``.  ``range_policy``
     ``"full"`` is the one window of the whole grid, and ``"auto"`` the
-    minimal-residual window of ``window_len`` grid points.
+    minimal-residual window of ``FIT_WINDOW`` grid points.
     """
-    grid, n_fit = _fit_geometry(y.n, range_policy, window_len)
+    if range_policy not in RANGE_POLICIES:
+        raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
+    grid = default_scales(y.n)
+    n_fit = len(grid) if range_policy == "full" else FIT_WINDOW
     f = fluctuation(y, grid, est)
     (lo,), _ = detect_scaling_range(f.f[None, :], f.scales, n_fit)
     if lo < 0:

@@ -42,7 +42,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .detrend import Estimator
 from .errors import ConfigError, DataError, EstimationError
-from .scaling import DEFAULT_FIT_WINDOW, _in_range, detect_scaling_range, estimate
+from .scaling import _in_range, detect_scaling_range, estimate
 from .timeseries import ReturnSeries, _readonly, profile
 
 DEFAULT_SEED = 42
@@ -331,7 +331,6 @@ def efficiency_test(
     r: ReturnSeries,
     est: Estimator,
     range_policy: str = "full",
-    window_len: int = DEFAULT_FIT_WINDOW,
     n_replicates: int = 10000,
     seed: int = DEFAULT_SEED,
     pmap: Callable[..., Iterator] = map,
@@ -342,13 +341,13 @@ def efficiency_test(
     H is fitted by :func:`estimate` on ``default_scales`` of the series
     length.  ``range_policy`` is ``"full"`` (fit the whole grid, the
     default for whole-series runs) or ``"auto"`` (minimal-residual
-    window of ``window_len`` grid points).  Shuffled replicates always
+    window of ``FIT_WINDOW`` grid points).  Shuffled replicates always
     reuse the original series' scaling range, and the ensemble is mapped
     with ``pmap`` as in :func:`shuffle_exponents`.  A bad replicate count
     or seed fails before anything is estimated.
     """
     _check_shuffle_args(n_replicates, seed)
-    f, fit = estimate(profile(r), est, range_policy, window_len)
+    f, fit = estimate(profile(r), est, range_policy)
 
     ensemble, n_redraws = shuffle_exponents(
         r.values, est, f.scales, (fit.s_lo, fit.s_hi), n_replicates,

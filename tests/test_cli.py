@@ -164,6 +164,10 @@ class TestAnalyzeCommand:
         # the scale grid follows from the series length
         ("analyze", "--points-per-decade", "20"),
         ("test", "--points-per-decade", "20"),
+        # the fit window is the paper's 15 grid points
+        ("analyze", "--window-len", "15"),
+        ("test", "--window-len", "15"),
+        ("rolling", "--window-len", "15"),
     ])
     def test_option_rejected(self, tmp_path, capsys, command, option, value):
         prices = synth_prices(tmp_path, n=400)
@@ -172,6 +176,23 @@ class TestAnalyzeCommand:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "test"])
+    @pytest.mark.parametrize("policy,points", [("full", 17), ("auto", 15)])
+    def test_flat_prices_fail_with_one_message(
+        self, tmp_path, capsys, command, policy, points
+    ):
+        # constant prices: every return, profile point and F is 0
+        prices = tmp_path / "flat.csv"
+        days = np.arange("2000-01-03", 600, dtype="datetime64[D]")
+        prices.write_text("".join(f"{d},50.0\n" for d in days))
+        out = tmp_path / "out.txt"
+        extra = ["--n-shuffles", 10] if command == "test" else []
+        assert run(command, "--range", policy, *extra, "-i", prices, "-o", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: F(s) is 0 or not finite in every window of {points} grid points\n"
+        )
+        assert not out.exists()
 
 
 class TestTestCommand:
@@ -273,15 +294,19 @@ class TestTestCommand:
                    "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
         assert capsys.readouterr().err.startswith("error: cut date 1 of 1")
 
-    @pytest.mark.parametrize("first, second", [
-        (["--subseries", "gulf-iraq"], ["--cuts", "2000-10-01"]),
-        (["--cuts", "2000-10-01"], ["--subseries", "nafta"]),
-    ])
-    def test_preset_and_cuts_exclude_each_other(self, tmp_path, capsys, first, second):
+    @pytest.mark.parametrize("preset", ["whole", "gulf-iraq", "nafta"])
+    @pytest.mark.parametrize("preset_first", [True, False], ids=["preset-first", "cuts-first"])
+    def test_preset_and_cuts_exclude_each_other(self, tmp_path, capsys, preset, preset_first):
+        # in-process, the literal "whole" is the very object a default of
+        # "whole" would be, and argparse takes an option holding its
+        # default object for absent
         prices = synth_prices(tmp_path, n=500)
         out = tmp_path / "t.json"
+        pair = [["--subseries", preset], ["--cuts", "2000-10-01"]]
+        first, second = pair if preset_first else pair[::-1]
         with pytest.raises(SystemExit) as exc:
-            run("test", "-i", prices, *first, *second, "--n-shuffles", 10, "-o", out)
+            main(["test", "-i", str(prices), *first, *second,
+                  "--n-shuffles", "10", "-o", str(out)])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
@@ -402,66 +427,24 @@ class TestRollingCommand:
         assert computed == [] and pools == []
         assert not out.exists()
 
-
-
-class TestWindowLen:
-    """--window-len is checked by the range rule's own check, before any F."""
-
-    @pytest.mark.parametrize(
-        "command,message",
-        [
-            (["analyze", "--window-len", 0], "window_len must be >= 2, got 0"),
-            (["analyze", "--range", "auto", "--window-len", 1],
-             "window_len must be >= 2, got 1"),
-            (["analyze", "--range", "auto", "--window-len", 18],
-             "window_len 18 exceeds the 17-point scale grid"),
-            (["test", "--range", "full", "--window-len", 1],
-             "2000-01-03..2006-11-07: window_len must be >= 2, got 1"),
-            (["test", "--range", "auto", "--cuts", "2002-01-01", "--window-len", 20],
-             "2000-01-03..2001-12-31: window_len 20 exceeds the 19-point scale grid"),
-            (["rolling", "--window", 500, "--step", 50, "--window-len", 1],
-             "window_len must be >= 2, got 1"),
-            (["rolling", "--window", 500, "--step", 50, "--window-len", 17],
-             "window_len 17 exceeds the 16-point scale grid"),
-        ],
-        ids=["analyze-full-0", "analyze-auto-1", "analyze-auto-long",
-             "test-full-1", "test-auto-segment", "rolling-1", "rolling-long"],
-    )
-    def test_bad_window_len_fails_before_estimation(
-        self, tmp_path, capsys, monkeypatch, command, message
-    ):
-        # the sample file's segment before 2002 has a 19-point grid, 600
-        # prices a 17-point one, and rolling's three windows of 500 returns
-        # a 16-point one, on a pool of 2 if one were started
-        prices = SAMPLE_PRICES if command[0] == "test" else synth_prices(tmp_path, n=600)
+    def test_short_window_fails_before_estimation(self, tmp_path, capsys, monkeypatch):
+        # a window of 249 returns has 15 grid scales, one short of the
+        # minimum; 600 prices would make two jobs for a pool of 2
+        prices = synth_prices(tmp_path, n=600)
         capsys.readouterr()
         computed, pools = [], []
         monkeypatch.setattr(Estimator, "fluctuation_matrix",
                             lambda *a: computed.append(a))
         monkeypatch.setattr(shuffletest, "ProcessPoolExecutor",
                             lambda *a, **kw: pools.append(a))
-        out = tmp_path / "out.txt"
-        extra = [] if command[0] == "analyze" else ["--n-shuffles", 10, "--threads", 2]
-        assert run(*command, *extra, "-i", prices, "-o", out) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert computed == [] and pools == []
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["analyze", "test"])
-    @pytest.mark.parametrize("policy,points", [("full", 17), ("auto", 15)])
-    def test_flat_prices_fail_with_one_message(
-        self, tmp_path, capsys, command, policy, points
-    ):
-        # constant prices: every return, profile point and F is 0
-        prices = tmp_path / "flat.csv"
-        days = np.arange("2000-01-03", 600, dtype="datetime64[D]")
-        prices.write_text("".join(f"{d},50.0\n" for d in days))
-        out = tmp_path / "out.txt"
-        extra = ["--n-shuffles", 10] if command == "test" else []
-        assert run(command, "--range", policy, *extra, "-i", prices, "-o", out) == 1
+        out = tmp_path / "roll.csv"
+        assert run("rolling", "-i", prices, "--window", 249, "--step", 200,
+                   "--n-shuffles", 10, "--threads", 2, "-o", out) == 1
         assert capsys.readouterr().err == (
-            f"error: F(s) is 0 or not finite in every window of {points} grid points\n"
+            "error: window_size 249 too small: series of length 249 supports "
+            "15 scales in [10, 24]; need at least 16\n"
         )
+        assert computed == [] and pools == []
         assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from wfetest import detrend
 from wfetest.detrend import (
     BLOCK_CELLS,
     DOT_CELLS,
+    MIN_GRID_POINTS,
     Estimator,
     FluctuationFunction,
     ScaleGrid,
@@ -28,6 +29,7 @@ from wfetest.errors import (
     InsufficientDataError,
     ScaleRangeError,
 )
+from wfetest.scaling import FIT_WINDOW
 from wfetest.shuffletest import replicate_rng
 from wfetest.timeseries import Profile
 
@@ -193,6 +195,52 @@ def max_relative_error(fast, ref):
     return float(np.max(np.abs((fast - ref) / ref)))
 
 
+class TestMetamorphic:
+    """Relations between F on related profiles, gated at METAMORPHIC_TOL.
+
+    They catch a fault that a kernel and its slow reference share.  The
+    measured deviations are at most about 4e-16; the bound is two orders
+    of magnitude below the kernel tests' 1e-12.
+    """
+
+    METAMORPHIC_TOL = 1e-14
+
+    @pytest.fixture(params=[1000, 1455, 7400])
+    def walk(self, request):
+        x = np.random.default_rng(request.param).standard_normal(request.param)
+        y = np.cumsum(x - x.mean())
+        return y, default_scales(request.param).scales
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_dfa_reversal_invariant(self, walk, order):
+        # reversing the profile swaps the forward and backward covers
+        y, scales = walk
+        f = dfa_fluctuation_matrix(y, scales, order)
+        f_rev = dfa_fluctuation_matrix(y[::-1].copy(), scales, order)
+        assert max_relative_error(f_rev, f) <= self.METAMORPHIC_TOL
+
+    def test_bdma_of_reversed_is_fdma(self, walk):
+        y, scales = walk
+        fdma = dma_fluctuation_matrix(y, scales, 1.0)
+        bdma_rev = dma_fluctuation_matrix(y[::-1].copy(), scales, 0.0)
+        assert max_relative_error(bdma_rev, fdma) <= self.METAMORPHIC_TOL
+
+    def test_cdma_reversal_invariant_at_odd_scales(self, walk):
+        y, scales = walk
+        odd = scales[scales % 2 == 1]
+        assert len(odd) >= 5
+        f = dma_fluctuation_matrix(y, odd, 0.5)
+        f_rev = dma_fluctuation_matrix(y[::-1].copy(), odd, 0.5)
+        assert max_relative_error(f_rev, f) <= self.METAMORPHIC_TOL
+
+    @pytest.mark.parametrize("est", [Estimator.dfa(), Estimator.dma(0.5)], ids=["dfa", "cdma"])
+    def test_scale_equivariant(self, walk, est):
+        y, scales = walk
+        f = est.fluctuation_matrix(y, scales)
+        f3 = est.fluctuation_matrix(3.0 * y, scales)
+        assert max_relative_error(f3, 3.0 * f) <= self.METAMORPHIC_TOL
+
+
 class TestWindowSplit:
     def test_extremes(self):
         assert _window_split(10, 0.0) == (9, 0)
@@ -205,8 +253,8 @@ class TestWindowSplit:
         assert _window_split(10, 0.5) == (5, 4)
 
     def test_binary_rounding_snapped(self):
-        # (11 - 1) * 0.3 is 2.9999999999999996 in binary; must act as 3
-        assert _window_split(11, 0.3) == (7, 3)
+        # (91 - 1) * 0.7 is 62.99999999999999 in binary; must act as 63
+        assert _window_split(91, 0.7) == (27, 63)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -545,9 +593,11 @@ class TestScaleGrid:
         assert len(default_scales(16384)) >= 40
 
     def test_minimum_length_boundary(self):
-        assert len(default_scales(250)) == 16
+        assert len(default_scales(250)) == MIN_GRID_POINTS == 16
         with pytest.raises(InsufficientDataError):
             default_scales(249)
+        # so no grid is shorter than the auto range's fit window
+        assert MIN_GRID_POINTS > FIT_WINDOW
 
     @staticmethod
     def uncapped_scales(n):

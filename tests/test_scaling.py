@@ -14,7 +14,7 @@ from wfetest.errors import (
     InsufficientDataError,
 )
 from wfetest.scaling import (
-    DEFAULT_FIT_WINDOW,
+    FIT_WINDOW,
     ScalingFit,
     _ols,
     detect_scaling_range,
@@ -330,5 +330,5 @@ class TestOneWindow:
         with pytest.raises(InsufficientDataError, match=message):
             shuffle_exponents(np.arange(400.0), Estimator.dfa(), scales, (15, 30), 3, 0)
 
-    def test_default_window_constant(self):
-        assert DEFAULT_FIT_WINDOW == 15
+    def test_fit_window_constant(self):
+        assert FIT_WINDOW == 15

@@ -312,9 +312,13 @@ class TestEfficiencyTest:
         count = int(np.sum((grid >= res.s_lo) & (grid <= res.s_hi)))
         assert count == 15
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(DataError):
+    def test_unknown_policy_rejected(self, monkeypatch):
+        computed = []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix",
+                            lambda *a: computed.append(a))
+        with pytest.raises(DataError, match=r"^range_policy must be one of \('full', 'auto'\)$"):
             efficiency_test(make_returns(800), Estimator.dfa(), range_policy="best")
+        assert computed == []
 
     def test_single_replicate_p_is_zero_or_one(self):
         r = make_returns(900)
