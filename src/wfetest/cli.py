@@ -135,14 +135,13 @@ def _add_method_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_range_options(sub: argparse.ArgumentParser, default: str) -> None:
+def _add_range_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--range",
         dest="range_policy",
         choices=RANGE_POLICIES,
-        default=default,
-        help=f"scaling range: whole grid or minimal-residual window "
-        f"(default {default})",
+        default="full",
+        help="scaling range: whole grid or minimal-residual window (default full)",
     )
 
 
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_option(p)
     _add_method_options(p)
-    _add_range_options(p, default="full")
+    _add_range_options(p)
     # analyze draws nothing, so it takes no seed
     _add_output_option(p)
     p.add_argument(
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_option(p)
     _add_method_options(p)
-    _add_range_options(p, default="full")
+    _add_range_options(p)
     _add_common_options(p)
     _add_threads_option(p)
     p.add_argument(

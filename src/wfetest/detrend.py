@@ -2,7 +2,8 @@
 
 Both detrenders consume a profile (cumulative sum of demeaned
 increments) and produce the root-mean-square detrended residual F(s)
-over a grid of integer box sizes s.
+over a grid of integer box sizes s, an int64 array; every kernel call
+checks its grid once, in :func:`_check_scales`.
 
 DMA subtracts a moving average of span s whose placement is set by the
 position parameter theta in [0, 1]: the window at index i covers
@@ -76,26 +77,6 @@ DOT_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
-class ScaleGrid:
-    """Strictly increasing integer box sizes."""
-
-    scales: np.ndarray
-
-    def __post_init__(self):
-        scales = _readonly(self.scales, np.int64)
-        object.__setattr__(self, "scales", scales)
-        if scales.ndim != 1 or len(scales) == 0:
-            raise DataError("scale grid must be a nonempty 1-d array")
-        if not np.all(scales[1:] > scales[:-1]):
-            raise DataError("scales must be strictly increasing")
-        if scales[0] < 2:
-            raise ScaleRangeError(f"scale {int(scales[0])} is too small")
-
-    def __len__(self) -> int:
-        return len(self.scales)
-
-
-@dataclass(frozen=True)
 class FluctuationFunction:
     """Paired (s, F(s)) samples with the method tag and source length."""
 
@@ -157,8 +138,8 @@ class Estimator:
         return dfa_fluctuation_matrix(profiles, scales, self.order)
 
 
-def default_scales(n: int) -> ScaleGrid:
-    """The scale grid of a series of length n: integer scales from 10 to n // 10.
+def default_scales(n: int) -> np.ndarray:
+    """The scale grid of length n: read-only int64 scales from 10 to n // 10.
 
     The grid is a logspace of 20 points a decade and at least
     MIN_GRID_POINTS points, rounded to integers; where rounding leaves
@@ -180,7 +161,7 @@ def default_scales(n: int) -> ScaleGrid:
             np.round(np.logspace(1.0, math.log10(s_max), num)).astype(np.int64)
         )
         if len(scales) >= MIN_GRID_POINTS:
-            return ScaleGrid(scales)
+            return _readonly(scales, np.int64)
         # terminates: a dense enough logspace rounds onto every integer in range
         num *= 2
 
@@ -227,8 +208,7 @@ def dma_fluctuation_matrix(
     """
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
     rows, n = profiles.shape
-    scales = np.asarray(scales, dtype=np.int64)
-    _check_scales(scales, n, DMA_MIN_SCALE)
+    scales = _check_scales(scales, n, DMA_MIN_SCALE)
 
     block = max(1, min(rows, BLOCK_CELLS // 2 // (n + 1)))
     x, hi, lo, win, win_lo = np.empty((5, block, n + 1), dtype=np.float64)
@@ -312,8 +292,7 @@ def dfa_fluctuation_matrix(
         raise DataError(f"dfa order must be >= 1, got {order}")
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
     rows, n = profiles.shape
-    scales = np.asarray(scales, dtype=np.int64)
-    _check_scales(scales, n, order + 2)
+    scales = _check_scales(scales, n, order + 2)
 
     plan = []
     for s in map(int, scales):
@@ -347,20 +326,24 @@ def dfa_fluctuation_matrix(
     return out
 
 
-def _check_scales(scales: np.ndarray, n: int, min_scale: int) -> None:
-    if len(scales) == 0:
-        raise DataError("empty scale grid")
+def _check_scales(scales, n: int, min_scale: int) -> np.ndarray:
+    """``scales`` as int64, checked as a kernel's box sizes on n points.
+
+    The one check of every scale array a kernel receives: a DataError
+    unless it is 1-d, nonempty and strictly increasing, and a
+    ScaleRangeError unless it runs from at least ``min_scale`` to at most n.
+    """
+    scales = np.asarray(scales, dtype=np.int64)
+    if scales.ndim != 1 or len(scales) == 0 or np.any(scales[1:] <= scales[:-1]):
+        raise DataError("scales must be a nonempty, strictly increasing 1-d array")
     if scales[0] < min_scale:
-        raise ScaleRangeError(
-            f"scale {int(scales[0])} below method minimum {min_scale}"
-        )
+        raise ScaleRangeError(f"scale {int(scales[0])} below method minimum {min_scale}")
     if scales[-1] > n:
-        raise ScaleRangeError(
-            f"scale {int(scales[-1])} exceeds series length {n}"
-        )
+        raise ScaleRangeError(f"scale {int(scales[-1])} exceeds series length {n}")
+    return scales
 
 
-def fluctuation(y: Profile, grid: ScaleGrid, est: Estimator) -> FluctuationFunction:
-    """Fluctuation function of the profile under the given estimator."""
-    f = est.fluctuation_matrix(y.values, grid.scales)[0]
-    return FluctuationFunction(grid.scales, f, est.tag, y.n)
+def fluctuation(y: Profile, scales: np.ndarray, est: Estimator) -> FluctuationFunction:
+    """Fluctuation function of the profile on ``scales``, checked by the kernel."""
+    f = est.fluctuation_matrix(y.values, scales)[0]
+    return FluctuationFunction(scales, f, est.tag, y.n)

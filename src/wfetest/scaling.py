@@ -156,9 +156,9 @@ def estimate(
     """
     if range_policy not in RANGE_POLICIES:
         raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
-    grid = default_scales(y.n)
-    n_fit = len(grid) if range_policy == "full" else FIT_WINDOW
-    f = fluctuation(y, grid, est)
+    scales = default_scales(y.n)
+    n_fit = len(scales) if range_policy == "full" else FIT_WINDOW
+    f = fluctuation(y, scales, est)
     (lo,), _ = detect_scaling_range(f.f[None, :], f.scales, n_fit)
     if lo < 0:
         raise DegenerateInputError(

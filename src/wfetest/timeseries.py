@@ -270,25 +270,25 @@ def split_by_dates(
     """Split into contiguous segments at the given cut dates.
 
     An observation dated before a cut goes to the earlier segment; the
-    cut date itself starts the next one.  Cuts must be strictly
-    increasing and strictly inside the series' date span.  Concatenating
+    cut date itself starts the next one.  Each cut must be a whole day,
+    such as ``1990-08-02`` (a month or an hour is no cut date), and cuts
+    must be strictly increasing and strictly inside the series' date span.  Concatenating
     the segments reproduces the input exactly.
     """
     cut_dates = list(cut_dates)
     if not cut_dates:
         return [p]
-    cuts = np.full(len(cut_dates), np.datetime64("NaT"), dtype="datetime64[D]")
+    cuts = np.empty(len(cut_dates), dtype="datetime64[D]")
     for k, c in enumerate(cut_dates):
         try:
-            cuts[k] = np.datetime64(c, "D")
+            day = np.datetime64(c)
         except ValueError:
-            pass  # stays NaT and is reported below
-    if np.any(np.isnat(cuts)):
-        bad = int(np.flatnonzero(np.isnat(cuts))[0])
-        raise DataError(
-            f"cut date {bad + 1} of {len(cuts)} is empty or not a date: "
-            f"{str(cut_dates[bad])!r}"
-        )
+            day = np.datetime64("NaT")
+        if day.dtype != cuts.dtype or np.isnat(day):
+            raise DataError(
+                f"cut date {k + 1} of {len(cuts)} is empty or not a date: {str(c)!r}"
+            )
+        cuts[k] = day
     if not np.all(cuts[1:] > cuts[:-1]):
         raise DataError("cut dates must be strictly increasing")
     if cuts[0] <= p.dates[0] or cuts[-1] >= p.dates[-1]:

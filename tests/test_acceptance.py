@@ -48,7 +48,7 @@ def full_range_h(values: np.ndarray, est: Estimator) -> float:
     prof = Profile(np.cumsum(values - values.mean()))
     grid = default_scales(len(values))
     f = fluctuation(prof, grid, est)
-    return fit_power_law(f, (grid.scales[0], grid.scales[-1])).h
+    return fit_power_law(f, (grid[0], grid[-1])).h
 
 
 def test_criterion_1_estimators_recover_known_exponents():
@@ -69,7 +69,7 @@ def test_criterion_2_shuffling_destroys_memory():
     values = generate_fgn(FgnSpec(n=2**14, hurst=0.8, seed=0))
     grid = default_scales(len(values))
     ensemble, _ = shuffle_exponents(
-        values, DFA, grid.scales, (grid.scales[0], grid.scales[-1]),
+        values, DFA, grid, (grid[0], grid[-1]),
         n_replicates=100, base_seed=42,
     )
     inside = int(np.count_nonzero((ensemble >= 0.47) & (ensemble <= 0.53)))
@@ -80,10 +80,10 @@ def test_criterion_3_linear_profile_closed_forms():
     prof = Profile(np.arange(1000, dtype=np.float64))
     grid = default_scales(1000)
     f_b = fluctuation(prof, grid, BDMA)
-    expected = (grid.scales - 1) / 2.0
+    expected = (grid - 1) / 2.0
     rel = np.max(np.abs(f_b.f - expected) / expected)
     f_c = fluctuation(prof, grid, CDMA)
-    odd = grid.scales % 2 == 1
+    odd = grid % 2 == 1
     centered = np.max(f_c.f[odd])
     ok = rel <= 1e-10 and centered <= 1e-10
     report(3, ok, f"BDMA rel err {rel:.2e}, CDMA odd-s max F {centered:.2e}")

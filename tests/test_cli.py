@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, SAMPLE_PRICES, child_env
+from conftest import REPO_ROOT, SAMPLE_PRICES, child_env, day_range
 from wfetest import cli, shuffletest
 from wfetest.cli import SUBSERIES_CUTS, main
 from wfetest.detrend import Estimator
@@ -293,6 +293,24 @@ class TestTestCommand:
         assert run("test", "-i", prices, "--cuts", "2000-13-01",
                    "--n-shuffles", 10, "-o", tmp_path / "t.json") == 1
         assert capsys.readouterr().err.startswith("error: cut date 1 of 1")
+
+    def test_cut_that_is_not_a_day_fails(self, tmp_path, capsys):
+        # 1,000 daily prices from 1989-01-01: a cut on 1990-08-01 leaves
+        # two testable segments, but the month 1990-08 is no cut date
+        prices = tmp_path / "prices.csv"
+        walk = 100 * np.exp(np.cumsum(np.random.default_rng(4).normal(0, 0.01, 1000)))
+        rows = (f"{d},{float(p)!r}\n" for d, p in zip(day_range(1000, "1989-01-01"), walk))
+        prices.write_text("date,price\n" + "".join(rows))
+        out = tmp_path / "t.json"
+        assert run("test", "-i", prices, "--cuts", "1990-08-01",
+                   "--n-shuffles", 10, "-o", out) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert run("test", "-i", prices, "--cuts", "1990-08",
+                   "--n-shuffles", 10, "-o", out) == 1
+        assert capsys.readouterr().err == (
+            "error: cut date 1 of 1 is empty or not a date: '1990-08'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("preset", ["whole", "gulf-iraq", "nafta"])
     @pytest.mark.parametrize("preset_first", [True, False], ids=["preset-first", "cuts-first"])

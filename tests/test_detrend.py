@@ -15,7 +15,6 @@ from wfetest.detrend import (
     MIN_GRID_POINTS,
     Estimator,
     FluctuationFunction,
-    ScaleGrid,
     _dfa_basis,
     _row_sum_squares,
     _window_split,
@@ -209,7 +208,7 @@ class TestMetamorphic:
     def walk(self, request):
         x = np.random.default_rng(request.param).standard_normal(request.param)
         y = np.cumsum(x - x.mean())
-        return y, default_scales(request.param).scales
+        return y, default_scales(request.param)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dfa_reversal_invariant(self, walk, order):
@@ -283,7 +282,7 @@ class TestDmaOracles:
 
     def test_linear_profile_closed_forms(self):
         y = np.arange(1000, dtype=np.float64)
-        scales = default_scales(1000).scales
+        scales = default_scales(1000)
         backward = dma_fluctuation_matrix(y, scales, 0.0)[0]
         expected = (scales - 1) / 2.0
         assert np.all(np.abs(backward - expected) <= 1e-10 * expected)
@@ -409,7 +408,7 @@ class TestDfaPrecision:
 
     def test_bridge_rows_match_extended_precision(self):
         rows = shuffled_bridge_rows(self.N)
-        scales = default_scales(self.N).scales
+        scales = default_scales(self.N)
         assert len(scales) == 39
         fast = dfa_fluctuation_matrix(rows, scales, 1)
         assert max_relative_error(fast, dfa1_longdouble_reference(rows, scales)) <= 1e-14
@@ -420,13 +419,13 @@ class TestDfaPrecision:
         rng = np.random.default_rng(7)
         drift = np.where(np.arange(self.N) < self.N // 2, 1.0, -1.0)
         tent = np.cumsum(drift + 1e-3 * rng.standard_normal(self.N))
-        scales = default_scales(self.N).scales
+        scales = default_scales(self.N)
         fast = dfa_fluctuation_matrix(tent, scales, 1)
         assert max_relative_error(fast, dfa1_longdouble_reference(tent, scales)) <= 1e-11
 
     def test_rows_across_blocks_equal_single_rows(self):
         rows = np.cumsum(np.random.default_rng(8).standard_normal((40, self.N)), axis=1)
-        scales = default_scales(self.N).scales
+        scales = default_scales(self.N)
         batch = dfa_fluctuation_matrix(rows, scales, 1)
         for i in (0, 9, 39):
             assert np.array_equal(batch[i], dfa_fluctuation_matrix(rows[i], scales, 1)[0])
@@ -439,7 +438,7 @@ class TestDfaBlockOuterLoop:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_equals_scale_outer_loop_bit_for_bit(self, order, n, block):
         assert BLOCK_CELLS // n == block
-        scales = default_scales(n).scales
+        scales = default_scales(n)
         # a scale dividing n right after one that does not: one cover
         # counted twice, next to two covers
         assert any(n % b == 0 and n % a for a, b in zip(scales, scales[1:]))
@@ -452,7 +451,7 @@ class TestDfaBlockOuterLoop:
         rows = np.cumsum(np.random.default_rng(12).standard_normal((70, 1000)), axis=1)
         before = rows.copy()
         rows.setflags(write=False)
-        scales = default_scales(1000).scales
+        scales = default_scales(1000)
         fast = dfa_fluctuation_matrix(rows, scales, 2)
         assert np.array_equal(rows, before)
         assert np.array_equal(fast, dfa_fluctuation_matrix(before, scales, 2))
@@ -479,7 +478,7 @@ import sys
 import numpy as np
 from wfetest.detrend import default_scales, dfa_fluctuation_matrix, dma_fluctuation_matrix
 rows = np.cumsum(np.random.default_rng(15).standard_normal((3, 30000)), axis=1)
-scales = default_scales(30000).scales
+scales = default_scales(30000)
 out = [dfa_fluctuation_matrix(rows, scales, order) for order in (1, 2)]
 out.append(dma_fluctuation_matrix(rows, scales, 0.5))
 sys.stdout.buffer.write(np.concatenate(out).tobytes())
@@ -504,7 +503,7 @@ sys.stdout.buffer.write(np.concatenate(out).tobytes())
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_dfa_near_per_box_sums(self, order, n):
         rows = shuffled_bridge_rows(n)
-        scales = default_scales(n).scales
+        scales = default_scales(n)
         fast = dfa_fluctuation_matrix(rows, scales, order)
         assert max_relative_error(fast, dfa_box_sum_reference(rows, scales, order)) <= 4e-15
 
@@ -512,7 +511,7 @@ sys.stdout.buffer.write(np.concatenate(out).tobytes())
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     def test_dma_near_einsum_sums(self, theta, n):
         rows = shuffled_bridge_rows(n)
-        scales = default_scales(n).scales
+        scales = default_scales(n)
         fast = dma_fluctuation_matrix(rows, scales, theta)
         assert max_relative_error(fast, dma_einsum_reference(rows, scales, theta)) <= 4e-15
 
@@ -526,7 +525,7 @@ class TestDmaPrecision:
     def test_bridge_rows_match_extended_precision(self, theta):
         for n, n_scales in ((self.N, 39), (self.SEGMENT_N, 25)):
             rows = shuffled_bridge_rows(n)
-            scales = default_scales(n).scales
+            scales = default_scales(n)
             assert len(scales) == n_scales
             fast = dma_fluctuation_matrix(rows, scales, theta)
             ref = dma_longdouble_reference(rows, scales, theta)
@@ -561,7 +560,7 @@ class TestDmaPrecision:
     def ramp_error(n, theta, noise):
         t = np.arange(n)
         ramp = 1e4 + 0.7318 * t + noise * np.random.default_rng(9).standard_normal(n)
-        scales = default_scales(n).scales
+        scales = default_scales(n)
         fast = dma_fluctuation_matrix(ramp, scales, theta)
         return max_relative_error(fast, dma_longdouble_reference(ramp, scales, theta))
 
@@ -574,17 +573,17 @@ class TestDmaPrecision:
             count = 2 * (BLOCK_CELLS // n) + 2
             rows = np.cumsum(np.random.default_rng(8).standard_normal((count, n)), axis=1)
             rows[::3] += 1e9 + 0.7318 * np.arange(n)
-            scales = default_scales(n).scales
+            scales = default_scales(n)
             batch = dma_fluctuation_matrix(rows, scales, theta)
             for i, row in enumerate(rows):
                 single = dma_fluctuation_matrix(row, scales, theta)[0]
                 assert np.array_equal(batch[i], single), (n, i)
 
 
-class TestScaleGrid:
+class TestDefaultScales:
     def test_default_grid_shape(self):
-        grid = default_scales(7401)
-        s = grid.scales
+        s = default_scales(7401)
+        assert s.dtype == np.int64 and s.ndim == 1 and not s.flags.writeable
         assert s[0] == 10 and s[-1] <= 740
         assert len(s) >= 16
         assert np.all(s[1:] > s[:-1])
@@ -615,21 +614,43 @@ class TestScaleGrid:
 
     def test_density_cap_changes_no_grid(self):
         for n in range(250, 20001, 569):
-            assert np.array_equal(default_scales(n).scales, self.uncapped_scales(n)), n
+            assert np.array_equal(default_scales(n), self.uncapped_scales(n)), n
 
-    def test_validation(self):
-        with pytest.raises(DataError):
-            ScaleGrid(np.array([4, 4, 5]))
-        with pytest.raises(DataError):
-            ScaleGrid(np.array([], dtype=np.int64))
-        with pytest.raises(ScaleRangeError):
-            ScaleGrid(np.array([1, 5]))
 
-    def test_caller_array_stays_writable(self):
-        s = np.array([4, 8, 16])
-        grid = ScaleGrid(s)
-        s[0] = 2
-        assert grid.scales.tolist() == [4, 8, 16]
+# every way a scale array reaches a kernel; each runs the one check,
+# detrend._check_scales, on a profile of n = 50
+SCALE_ENTRY_POINTS = {
+    "dma": lambda prof, scales: dma_fluctuation_matrix(prof, scales, 0.5),
+    "dfa": lambda prof, scales: dfa_fluctuation_matrix(prof, scales, 1),
+    "fluctuation-dma": lambda prof, scales: fluctuation(Profile(prof), scales, Estimator.dma(0.5)),
+    "fluctuation-dfa": lambda prof, scales: fluctuation(Profile(prof), scales, Estimator.dfa(1)),
+}
+
+
+class TestCheckScales:
+    PROF = np.cumsum(np.random.default_rng(5).standard_normal(50))
+
+    @pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "scales",
+        [[4, 4, 5], [60, 10], [5, 2], [], [[4, 8]], 8],
+        ids=["repeated", "decreasing", "decreasing-below-minimum", "empty", "2-d", "0-d"],
+    )
+    def test_malformed_grid_is_data_error(self, entry, scales):
+        message = "^scales must be a nonempty, strictly increasing 1-d array$"
+        with pytest.raises(DataError, match=message):
+            SCALE_ENTRY_POINTS[entry](self.PROF, scales)
+
+    @pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "scales, message",
+        [([1, 5], "^scale 1 below method minimum 3$"),
+         ([10, 51], "^scale 51 exceeds series length 50$")],
+        ids=["below-minimum", "past-n"],
+    )
+    def test_grid_outside_bounds_is_scale_range_error(self, entry, scales, message):
+        with pytest.raises(ScaleRangeError, match=message):
+            SCALE_ENTRY_POINTS[entry](self.PROF, scales)
 
     def test_scale_bounds_checked(self):
         prof = np.arange(50.0)
@@ -696,7 +717,7 @@ class TestColumnIndependence:
     @pytest.mark.parametrize("mask", sorted(MASKS))
     def test_subset_columns_bitwise_equal(self, est, mask):
         rows = np.cumsum(np.random.default_rng(41).standard_normal((6, 1000)), axis=1)
-        scales = default_scales(1000).scales
+        scales = default_scales(1000)
         m = self.MASKS[mask]
         assert len(scales) == len(m)
         whole = est.fluctuation_matrix(rows, scales)
@@ -707,22 +728,22 @@ class TestSingleSeriesWrappers:
     def test_wrappers_share_kernel_path(self):
         values = np.cumsum(np.random.default_rng(2).standard_normal(400))
         y = Profile(values)
-        grid = ScaleGrid(np.array([4, 8, 16, 32]))
+        grid = np.array([4, 8, 16, 32])
         a = fluctuation(y, grid, Estimator.dma(0.5))
         assert a.method == "CDMA" and a.n == 400
         assert np.array_equal(
-            a.f, dma_fluctuation_matrix(values, grid.scales, 0.5)[0]
+            a.f, dma_fluctuation_matrix(values, grid, 0.5)[0]
         )
         b = fluctuation(y, grid, Estimator.dfa(1))
         assert b.method == "DFA" and b.n == 400
         assert np.array_equal(
-            b.f, dfa_fluctuation_matrix(values, grid.scales, 1)[0]
+            b.f, dfa_fluctuation_matrix(values, grid, 1)[0]
         )
 
     def test_batch_rows_equal_single_rows(self):
         rng = np.random.default_rng(31)
         profs = np.cumsum(rng.standard_normal((8, 600)), axis=1)
-        scales = default_scales(600).scales
+        scales = default_scales(600)
         for theta in (0.0, 0.5, 1.0):
             batch = dma_fluctuation_matrix(profs, scales, theta)
             for i in (0, 3, 7):

@@ -102,7 +102,7 @@ class TestRollingAnalysis:
     def test_selected_range_has_fifteen_grid_points(self):
         r = make_returns(400)
         rows = rolling_analysis(r, window_size=400, step=1, n_shuffles=10)
-        scales = default_scales(400).scales
+        scales = default_scales(400)
         res = rows[0].result
         count = int(np.sum((scales >= res.s_lo) & (scales <= res.s_hi)))
         assert count == 15
@@ -220,6 +220,31 @@ class TestRollingAnalysis:
             r, window_size=250, step=step, n_shuffles=3
         )
         assert len(rows) == (n_returns - 250) // step + 1
+
+
+class TestRollingMetamorphic:
+    # Returns times 2, or plus a constant, have the same profile up to
+    # rounding, so every window's test moves by rounding only.  The
+    # largest deviation of H or an H_s measured on these inputs is
+    # 4.4e-16; the gate is
+    BOUND = 1e-13
+
+    @pytest.mark.parametrize(
+        "transform", [lambda v: v * 2.0, lambda v: v + 0.003], ids=["x2", "+0.003"]
+    )
+    def test_scaled_or_shifted_returns_keep_every_window(self, transform):
+        values = generate_fgn(FgnSpec(n=1500, hurst=0.5, sigma=0.02, seed=3))
+        base, moved = (
+            rolling_analysis(ReturnSeries(day_range(1500), v), window_size=1000,
+                             step=100, n_shuffles=300)
+            for v in (values, transform(values))
+        )
+        assert len(base) == len(moved) == 6
+        for a, b in zip(base, moved):
+            assert abs(b.result.h - a.result.h) <= self.BOUND
+            assert np.max(np.abs(b.result.ensemble - a.result.ensemble)) <= self.BOUND
+            assert b.flag == a.flag and b.result.p == a.result.p
+            assert (b.result.s_lo, b.result.s_hi) == (a.result.s_lo, a.result.s_hi)
 
 
 @pytest.mark.slow

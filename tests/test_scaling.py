@@ -86,7 +86,7 @@ class TestFitPowerLaw:
         assert fit.stderr == 0.0
 
     def test_exact_law_recovered(self):
-        f = power_law_f(default_scales(4096).scales, 0.7, amp=2.0)
+        f = power_law_f(default_scales(4096), 0.7, amp=2.0)
         fit = fit_power_law(f, (int(f.scales[0]), int(f.scales[-1])))
         assert fit.h == pytest.approx(0.7, abs=1e-12)
         assert fit.rss == pytest.approx(0.0, abs=1e-24)
@@ -176,7 +176,7 @@ class TestScanWindows:
 class TestDetectScalingRange:
     def test_finds_clean_regime(self):
         # noisy short-scale regime, exactly collinear beyond s = 40
-        scales = default_scales(4000).scales
+        scales = default_scales(4000)
         x = np.log(scales.astype(float))
         x40 = math.log(40.0)
         y = np.where(x <= x40, 0.9 * x, 0.9 * x40 + 0.4 * (x - x40))
@@ -197,7 +197,7 @@ class TestDetectScalingRange:
         assert lo == 10 and hi == 24
 
     def test_window_len_is_exact(self):
-        f = power_law_f(default_scales(2000).scales, 0.5)
+        f = power_law_f(default_scales(2000), 0.5)
         lo, hi = scaling_range(f, 15)
         count = int(np.sum((f.scales >= lo) & (f.scales <= hi)))
         assert count == 15
@@ -246,7 +246,7 @@ class TestBatchedRule:
         # each row's window and slope do not depend on the rows beside it
         rng = np.random.default_rng(21)
         n = 2000
-        scales = default_scales(n).scales
+        scales = default_scales(n)
         profiles = np.cumsum(rng.standard_normal((6, n)), axis=1)
         f_matrix = Estimator.dfa().fluctuation_matrix(profiles, scales)
         f_matrix[1, 4] = 0.0
@@ -285,7 +285,7 @@ class TestOneWindow:
     def test_matches_scalar_fit(self):
         # every column given is fitted, as fit_power_law fits its whole range
         rng = np.random.default_rng(8)
-        scales = default_scales(2000).scales[3:17]
+        scales = default_scales(2000)[3:17]
         rows = np.exp(rng.standard_normal((5, len(scales))))
         start, slopes = detect_scaling_range(rows, scales, len(scales))
         assert start.tolist() == [0] * 5
@@ -298,7 +298,7 @@ class TestOneWindow:
     def test_ensemble_rows_bitwise_equal_to_fit(self, est):
         # H from the whole grid and H_s from the fitted scales only are one fit
         n = 1000
-        scales = default_scales(n).scales
+        scales = default_scales(n)
         profiles = np.cumsum(np.random.default_rng(11).standard_normal((64, n)), axis=1)
         f_matrix = est.fluctuation_matrix(profiles, scales)
         for s_range in ((int(scales[0]), int(scales[-1])), (int(scales[3]), int(scales[17]))):

@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -143,23 +144,23 @@ class TestShuffleExponents:
     def setup_method(self):
         self.r = make_returns(1200)
         self.grid = default_scales(1200)
-        self.range = (int(self.grid.scales[0]), int(self.grid.scales[-1]))
+        self.range = (int(self.grid[0]), int(self.grid[-1]))
 
     def test_ensemble_indexed_by_replicate(self):
         ens, redraws = shuffle_exponents(
-            self.r.values, Estimator.dfa(), self.grid.scales, self.range,
+            self.r.values, Estimator.dfa(), self.grid, self.range,
             40, base_seed=9,
         )
         assert ens.shape == (40,) and redraws == 0
         # replicate i recomputed alone must equal its slot
         for i in (0, 17, 39):
             alone = _shuffled_slopes(
-                self.r.values, Estimator.dfa(), self.grid.scales, 9, (), range(i, i + 1)
+                self.r.values, Estimator.dfa(), self.grid, 9, (), range(i, i + 1)
             )[0]
             assert ens[i] == alone
 
     def test_worker_count_is_invisible(self):
-        args = (self.r.values, Estimator.dfa(), self.grid.scales, self.range, 70, 4)
+        args = (self.r.values, Estimator.dfa(), self.grid, self.range, 70, 4)
         e1, _ = shuffle_exponents(*args)
         with worker_map(2, 2) as pmap:
             e2, _ = shuffle_exponents(*args, pmap=pmap)
@@ -171,7 +172,7 @@ class TestShuffleExponents:
         chunk = _chunk_size(1200)
         n = chunk + 3
         ens, _ = shuffle_exponents(
-            self.r.values, Estimator.dfa(), self.grid.scales, self.range,
+            self.r.values, Estimator.dfa(), self.grid, self.range,
             n, base_seed=2,
         )
         assert ens.shape == (n,) and np.all(np.isfinite(ens))
@@ -182,7 +183,7 @@ class TestShuffleExponents:
         message = r"^1 replicate redraws exhausted the cap \(1\); series is degenerate for DFA$"
         with pytest.raises(EstimationError, match=message):
             shuffle_exponents(
-                values, Estimator.dfa(), self.grid.scales, self.range,
+                values, Estimator.dfa(), self.grid, self.range,
                 50, base_seed=1,
             )
 
@@ -226,17 +227,31 @@ class TestShuffleExponents:
                 (10, 80), 1000, base_seed=seed,
             )
 
+    @pytest.mark.parametrize(
+        "scales", [[60, 10], [[10, 20]], []], ids=["decreasing", "2-d", "empty"]
+    )
+    def test_malformed_grid_fails_before_any_draw(self, monkeypatch, scales):
+        # on 50 returns, [60, 10] once gave all-NaN slopes and a redraw-cap error
+        drawn = []
+        monkeypatch.setattr(shuffletest, "_replicate_rngs", lambda *a: drawn.append(a))
+        message = "^scales must be a nonempty, strictly increasing 1-d array$"
+        with pytest.raises(DataError, match=message):
+            shuffle_exponents(
+                self.r.values[:50], Estimator.dfa(), scales, (10, 60), 100, base_seed=1
+            )
+        assert drawn == []
+
     def test_replicate_count_validated(self):
         with pytest.raises(ConfigError, match=r"^n_shuffles must be >= 1, got 0$"):
             shuffle_exponents(
-                self.r.values, Estimator.dfa(), self.grid.scales,
+                self.r.values, Estimator.dfa(), self.grid,
                 self.range, 0, base_seed=1,
             )
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             shuffle_exponents(
-                self.r.values, Estimator.dfa(), self.grid.scales,
+                self.r.values, Estimator.dfa(), self.grid,
                 self.range, 10, base_seed=-1,
             )
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -256,7 +271,7 @@ class TestShuffleExponents:
         assert computed == []
 
     def test_only_fitted_scales_computed(self, monkeypatch):
-        scales = self.grid.scales
+        scales = self.grid
         s_range = (int(scales[3]), int(scales[17]))
         fitted = scales[(scales >= s_range[0]) & (scales <= s_range[1])]
         seen = []
@@ -298,8 +313,8 @@ class TestEfficiencyTest:
         r = make_returns(1500)
         res = efficiency_test(r, Estimator.dfa(), n_replicates=60, seed=3)
         grid = default_scales(1500)
-        assert res.s_lo == int(grid.scales[0])
-        assert res.s_hi == int(grid.scales[-1])
+        assert res.s_lo == int(grid[0])
+        assert res.s_hi == int(grid[-1])
         assert res.method == "DFA"
         assert res.n_replicates == 60
 
@@ -308,7 +323,7 @@ class TestEfficiencyTest:
         res = efficiency_test(
             r, Estimator.dfa(), range_policy="auto", n_replicates=30, seed=3
         )
-        grid = default_scales(1500).scales
+        grid = default_scales(1500)
         count = int(np.sum((grid >= res.s_lo) & (grid <= res.s_hi)))
         assert count == 15
 
@@ -359,6 +374,41 @@ class TestEfficiencyTest:
         line = res.summary()
         assert line.startswith("CDMA: H=")
         assert "p=" in line and "0.01" in line
+
+
+# Returns times a positive factor, or plus a constant, have the same
+# profile up to rounding, and a shuffle permutes the same positions, so
+# the whole test moves by rounding only.  The largest deviation of H or
+# an H_s measured on these inputs is 6.7e-16; the gate is
+METAMORPHIC_H_BOUND = 1e-13
+RETURN_TRANSFORMS = {
+    "x2": lambda v: v * 2.0,
+    "x0.37": lambda v: v * 0.37,
+    "+0.003": lambda v: v + 0.003,
+}
+
+
+@lru_cache(maxsize=None)
+def metamorphic_test(est, range_policy, transform=None):
+    values = generate_fgn(FgnSpec(n=1500, hurst=0.5, sigma=0.02, seed=3))
+    if transform is not None:
+        values = RETURN_TRANSFORMS[transform](values)
+    return efficiency_test(
+        ReturnSeries(day_range(1500), values), est, range_policy, n_replicates=300
+    )
+
+
+class TestPipelineMetamorphic:
+    @pytest.mark.parametrize("transform", sorted(RETURN_TRANSFORMS))
+    @pytest.mark.parametrize("range_policy", ["full", "auto"])
+    @pytest.mark.parametrize("est", [Estimator.dfa(1), Estimator.dma(0.5)], ids=lambda e: e.tag)
+    def test_scaled_or_shifted_returns_keep_the_test(self, est, range_policy, transform):
+        base = metamorphic_test(est, range_policy)
+        moved = metamorphic_test(est, range_policy, transform)
+        assert abs(moved.h - base.h) <= METAMORPHIC_H_BOUND
+        assert np.max(np.abs(moved.ensemble - base.ensemble)) <= METAMORPHIC_H_BOUND
+        assert moved.p == base.p
+        assert (moved.s_lo, moved.s_hi, moved.n_redraws) == (base.s_lo, base.s_hi, base.n_redraws)
 
 
 class TestShuffleTestResult:

@@ -19,9 +19,9 @@ from wfetest.timeseries import log_returns
 def fitted_h(values, est=Estimator.dfa()):
     prof = np.cumsum(values - values.mean())
     grid = default_scales(len(values))
-    f = est.fluctuation_matrix(prof, grid.scales)[0]
-    ff = FluctuationFunction(grid.scales, f, est.tag, len(values))
-    return fit_power_law(ff, (int(grid.scales[0]), int(grid.scales[-1]))).h
+    f = est.fluctuation_matrix(prof, grid)[0]
+    ff = FluctuationFunction(grid, f, est.tag, len(values))
+    return fit_power_law(ff, (int(grid[0]), int(grid[-1]))).h
 
 
 class TestAutocovariance:

@@ -391,6 +391,9 @@ class TestSplitByDates:
         for cuts, message in (
             (["2020-13-01"], "cut date 1 of 1 .*'2020-13-01'"),
             ([p.dates[3], "not-a-date"], "cut date 2 of 2 .*'not-a-date'"),
+            # a cut is a whole day: a month or an hour is not cast to one
+            (["1990-08"], "^cut date 1 of 1 is empty or not a date: '1990-08'$"),
+            ([p.dates[3], "1990-08-02T12"], "^cut date 2 of 2 is empty or not a date: '1990-08-02T12'$"),
         ):
             with pytest.raises(DataError, match=message):
                 split_by_dates(p, cuts)
