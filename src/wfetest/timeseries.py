@@ -270,10 +270,10 @@ def split_by_dates(
     """Split into contiguous segments at the given cut dates.
 
     An observation dated before a cut goes to the earlier segment; the
-    cut date itself starts the next one.  Each cut must be a whole day,
-    such as ``1990-08-02`` (a month or an hour is no cut date), and cuts
-    must be strictly increasing and strictly inside the series' date span.  Concatenating
-    the segments reproduces the input exactly.
+    cut date itself starts the next one.  Each cut must be a whole day
+    such as ``1990-08-02``, not a month or an hour; cuts must be
+    strictly increasing and strictly inside the series' date span.
+    Concatenating the segments reproduces the input exactly.
     """
     cut_dates = list(cut_dates)
     if not cut_dates:
