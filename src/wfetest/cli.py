@@ -40,7 +40,6 @@ from .timeseries import (
     PriceSeries,
     load_prices,
     log_returns,
-    profile,
     split_by_dates,
 )
 
@@ -168,7 +167,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     series = _load(args)
     est = _estimator(args)
     r = log_returns(series)
-    f, fit = estimate(profile(r), est, args.range_policy)
+    f, fit = estimate(r, est, args.range_policy)
     relations = {"eta": fit.eta, "gamma": fit.gamma}
 
     config = _config_dict(args)

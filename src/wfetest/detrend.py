@@ -1,9 +1,9 @@
 """Fluctuation functions over scale grids: DMA and DFA.
 
-Both detrenders consume a profile (cumulative sum of demeaned
-increments) and produce the root-mean-square detrended residual F(s)
-over a grid of integer box sizes s, an int64 array; every kernel call
-checks its grid once, in :func:`_check_scales`.
+Both detrenders consume a profile, a plain float64 array (cumulative
+sum of demeaned increments), and produce the root-mean-square detrended
+residual F(s) over a grid of whole box sizes s, an int64 array; every
+kernel call checks its grid once, in :func:`_check_scales`.
 
 DMA subtracts a moving average of span s whose placement is set by the
 position parameter theta in [0, 1]: the window at index i covers
@@ -37,8 +37,8 @@ so F does not depend on the BLAS thread count.
 Both kernels accept a batch of profiles as a 2-d array and treat rows
 independently: a row's F is computed the same way whatever rows share
 its block, so it never depends on the batch around it.  The
-single-series operations are the one-row case, so every caller shares
-one numerical path.
+single-series :func:`fluctuation` is the one-row case, so every caller
+shares one numerical path; it checks that its profile is one row.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, ScaleRangeError
-from .timeseries import Profile, _readonly
+from .timeseries import _check_row, _readonly
 
 # Minimum number of grid points: scaling.FIT_WINDOW, the 15 points of the
 # auto range's fit window, plus one point of slack.
@@ -330,20 +330,28 @@ def _check_scales(scales, n: int, min_scale: int) -> np.ndarray:
     """``scales`` as int64, checked as a kernel's box sizes on n points.
 
     The one check of every scale array a kernel receives: a DataError
-    unless it is 1-d, nonempty and strictly increasing, and a
-    ScaleRangeError unless it runs from at least ``min_scale`` to at most n.
+    unless it is whole numbers (4.0 counts as 4) in a 1-d, nonempty and
+    strictly increasing array, and a ScaleRangeError unless it runs from
+    at least ``min_scale`` to at most n.
     """
-    scales = np.asarray(scales, dtype=np.int64)
-    if scales.ndim != 1 or len(scales) == 0 or np.any(scales[1:] <= scales[:-1]):
+    given = np.asarray(scales)
+    if not np.all(np.isfinite(given) & (given == np.round(given))):
+        raise DataError("scales must be whole numbers")
+    if given.ndim != 1 or len(given) == 0 or np.any(given[1:] <= given[:-1]):
         raise DataError("scales must be a nonempty, strictly increasing 1-d array")
-    if scales[0] < min_scale:
-        raise ScaleRangeError(f"scale {int(scales[0])} below method minimum {min_scale}")
-    if scales[-1] > n:
-        raise ScaleRangeError(f"scale {int(scales[-1])} exceeds series length {n}")
-    return scales
+    if given[0] < min_scale:
+        raise ScaleRangeError(f"scale {int(given[0])} below method minimum {min_scale}")
+    if given[-1] > n:
+        raise ScaleRangeError(f"scale {int(given[-1])} exceeds series length {n}")
+    return given.astype(np.int64, copy=False)
 
 
-def fluctuation(y: Profile, scales: np.ndarray, est: Estimator) -> FluctuationFunction:
-    """Fluctuation function of the profile on ``scales``, checked by the kernel."""
-    f = est.fluctuation_matrix(y.values, scales)[0]
-    return FluctuationFunction(scales, f, est.tag, y.n)
+def fluctuation(y: np.ndarray, scales: np.ndarray, est: Estimator) -> FluctuationFunction:
+    """Fluctuation function of one profile on ``scales``, checked by the kernel.
+
+    ``y`` is any 1-d, nonempty and finite array, such as a ``profile``
+    or a ramp; anything else is a DataError before the kernel runs.
+    """
+    y = _check_row(y, "profile")
+    f = est.fluctuation_matrix(y, scales)[0]
+    return FluctuationFunction(scales, f, est.tag, len(y))

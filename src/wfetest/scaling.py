@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detrend import Estimator, FluctuationFunction, default_scales, fluctuation
 from .errors import ConfigError, DataError, DegenerateInputError, InsufficientDataError
-from .timeseries import Profile
+from .timeseries import ReturnSeries, profile
 
 FIT_WINDOW = 15
 
@@ -146,19 +146,19 @@ def detect_scaling_range(
 
 
 def estimate(
-    y: Profile, est: Estimator, range_policy: str = "full"
+    r: ReturnSeries, est: Estimator, range_policy: str = "full"
 ) -> tuple[FluctuationFunction, ScalingFit]:
-    """Fluctuation function of the profile and its fit over the range rule's window.
+    """Fluctuation function of the returns' profile and its fit over the range rule's window.
 
-    F is computed on ``default_scales(y.n)``.  ``range_policy``
-    ``"full"`` is the one window of the whole grid, and ``"auto"`` the
-    minimal-residual window of ``FIT_WINDOW`` grid points.
+    F is computed on ``profile(r.values)`` over ``default_scales(len(r))``.
+    ``range_policy`` ``"full"`` is the one window of the whole grid, and
+    ``"auto"`` the minimal-residual window of ``FIT_WINDOW`` grid points.
     """
     if range_policy not in RANGE_POLICIES:
         raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
-    scales = default_scales(y.n)
+    scales = default_scales(len(r))
     n_fit = len(scales) if range_policy == "full" else FIT_WINDOW
-    f = fluctuation(y, scales, est)
+    f = fluctuation(profile(r.values), scales, est)
     (lo,), _ = detect_scaling_range(f.f[None, :], f.scales, n_fit)
     if lo < 0:
         raise DegenerateInputError(

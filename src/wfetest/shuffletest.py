@@ -43,7 +43,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .detrend import Estimator, _check_scales
 from .errors import ConfigError, DataError, EstimationError
 from .scaling import _in_range, detect_scaling_range, estimate
-from .timeseries import ReturnSeries, _readonly, profile
+from .timeseries import ReturnSeries, _check_row, _readonly
 
 DEFAULT_SEED = 42
 SIGNIFICANCE_LEVEL = 0.01
@@ -293,20 +293,21 @@ def shuffle_exponents(
 ) -> tuple[np.ndarray, int]:
     """Exponents of n_replicates shuffled series over a fixed range.
 
-    A ``scales`` array that is not 1-d, nonempty, strictly increasing
-    and at most the series length fails before any replicate is drawn;
-    the kernel checks the method minimum.  Only the grid scales inside
-    ``s_range`` are computed.  The chunks of replicates go through the
-    ordered map ``pmap``, such as the map of a :func:`worker_map` block.
-    Returns the ensemble ordered by replicate index and the number of
-    redraws used.  Degenerate (non-finite) replicates take, in order,
-    the finite slopes of one batch of redraws from index
-    ``n_replicates`` on, 1% of the ensemble and at least one; the count
-    runs to the last redraw taken, and too few finite redraws raise
-    ``EstimationError``.
+    A ``values`` array that is not 1-d, nonempty and finite, or a
+    ``scales`` array that is not whole, 1-d, nonempty, strictly
+    increasing and at most the series length, fails before any
+    replicate is drawn; the kernel checks the method minimum.  Only the
+    grid scales inside ``s_range`` are computed.  The chunks of
+    replicates go through the ordered map ``pmap``, such as the map of a
+    :func:`worker_map` block.  Returns the ensemble ordered by replicate
+    index and the number of redraws used.  Degenerate (non-finite)
+    replicates take, in order, the finite slopes of one batch of
+    redraws from index ``n_replicates`` on, 1% of the ensemble and at
+    least one; the count runs to the last redraw taken, and too few
+    finite redraws raise ``EstimationError``.
     """
     _check_shuffle_args(n_replicates, base_seed)
-    values = np.asarray(values, dtype=np.float64)
+    values = _check_row(values, "series")
     scales = _check_scales(scales, len(values), 1)
     slopes = partial(
         _shuffled_slopes, values, est, scales[_in_range(scales, s_range)],
@@ -350,7 +351,7 @@ def efficiency_test(
     or seed fails before anything is estimated.
     """
     _check_shuffle_args(n_replicates, seed)
-    f, fit = estimate(profile(r), est, range_policy)
+    f, fit = estimate(r, est, range_policy)
 
     ensemble, n_redraws = shuffle_exponents(
         r.values, est, f.scales, (fit.s_lo, fit.s_hi), n_replicates,

@@ -4,8 +4,8 @@ Input files are plain text with one ``date,price`` record per line (an
 optional header line, whose date field holds no digit, is skipped).
 Dates may be ISO (``YYYY-MM-DD``) or US (``MM/DD/YYYY``); the first data
 line's format holds for the file.  All downstream analysis operates on
-the log-return series and its profile (cumulative sum of demeaned
-returns).
+the log-return series; :func:`profile` turns any one series into the
+plain array the detrenders take (cumulative sum of the demeaned values).
 """
 
 from __future__ import annotations
@@ -43,6 +43,16 @@ def _readonly(a, dtype) -> np.ndarray:
     a = np.array(a, dtype=dtype, order="C", ndmin=1)
     a.setflags(write=False)
     return a
+
+
+def _check_row(values, name: str) -> np.ndarray:
+    """``values`` as float64; a DataError naming ``name`` unless 1-d, nonempty and finite."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or len(values) == 0:
+        raise DataError(f"{name} must be a nonempty 1-d array")
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{name} values must be finite")
+    return values
 
 
 def _freeze_dated(series, field: str) -> np.ndarray:
@@ -100,33 +110,6 @@ class ReturnSeries:
             raise InsufficientDataError("return series is empty")
         if not np.all(np.isfinite(values)):
             raise DataError("returns must be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Cumulative sum of demeaned increments.
-
-    ``profile()`` output always ends at 0 up to rounding; the type itself
-    admits any finite values so that analytically constructed profiles
-    (linear ramps, polynomials) can be fed to the detrenders directly.
-    """
-
-    values: np.ndarray  # float64
-
-    def __post_init__(self):
-        values = _readonly(self.values, np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or len(values) == 0:
-            raise DataError("profile must be a nonempty 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise DataError("profile values must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -258,10 +241,10 @@ def log_returns(p: PriceSeries) -> ReturnSeries:
     return ReturnSeries(p.dates[1:], values)
 
 
-def profile(r: ReturnSeries) -> Profile:
-    """Cumulative sum of the demeaned returns; ends at 0 up to rounding."""
-    values = np.asarray(r.values, dtype=np.float64)
-    return Profile(np.cumsum(values - values.mean()))
+def profile(values: np.ndarray) -> np.ndarray:
+    """Read-only cumulative sum of the demeaned 1-d ``values``; ends at 0 up to rounding."""
+    values = _check_row(values, "series")
+    return _readonly(np.cumsum(values - values.mean()), np.float64)
 
 
 def split_by_dates(

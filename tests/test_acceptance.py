@@ -25,7 +25,6 @@ from wfetest.timeseries import (
     IRAQ_WAR,
     NAFTA,
     PriceSeries,
-    Profile,
     ReturnSeries,
     load_prices,
     log_returns,
@@ -45,9 +44,8 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 
 def full_range_h(values: np.ndarray, est: Estimator) -> float:
-    prof = Profile(np.cumsum(values - values.mean()))
     grid = default_scales(len(values))
-    f = fluctuation(prof, grid, est)
+    f = fluctuation(profile(values), grid, est)
     return fit_power_law(f, (grid[0], grid[-1])).h
 
 
@@ -77,7 +75,7 @@ def test_criterion_2_shuffling_destroys_memory():
 
 
 def test_criterion_3_linear_profile_closed_forms():
-    prof = Profile(np.arange(1000, dtype=np.float64))
+    prof = np.arange(1000, dtype=np.float64)
     grid = default_scales(1000)
     f_b = fluctuation(prof, grid, BDMA)
     expected = (grid - 1) / 2.0

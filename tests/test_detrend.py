@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from wfetest.errors import (
 )
 from wfetest.scaling import FIT_WINDOW
 from wfetest.shuffletest import replicate_rng
-from wfetest.timeseries import Profile
+from wfetest.timeseries import profile
 
 from conftest import child_env
 
@@ -186,7 +187,7 @@ def shuffled_bridge_rows(n, count=32):
     rows = np.empty((count, n))
     for i, row in enumerate(rows):
         perm = replicate_rng(53, i).permutation(returns)
-        row[:] = np.cumsum(perm - perm.mean())
+        row[:] = profile(perm)
     return rows
 
 
@@ -207,8 +208,7 @@ class TestMetamorphic:
     @pytest.fixture(params=[1000, 1455, 7400])
     def walk(self, request):
         x = np.random.default_rng(request.param).standard_normal(request.param)
-        y = np.cumsum(x - x.mean())
-        return y, default_scales(request.param)
+        return profile(x), default_scales(request.param)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dfa_reversal_invariant(self, walk, order):
@@ -622,24 +622,32 @@ class TestDefaultScales:
 SCALE_ENTRY_POINTS = {
     "dma": lambda prof, scales: dma_fluctuation_matrix(prof, scales, 0.5),
     "dfa": lambda prof, scales: dfa_fluctuation_matrix(prof, scales, 1),
-    "fluctuation-dma": lambda prof, scales: fluctuation(Profile(prof), scales, Estimator.dma(0.5)),
-    "fluctuation-dfa": lambda prof, scales: fluctuation(Profile(prof), scales, Estimator.dfa(1)),
+    "fluctuation-dma": lambda prof, scales: fluctuation(prof, scales, Estimator.dma(0.5)),
+    "fluctuation-dfa": lambda prof, scales: fluctuation(prof, scales, Estimator.dfa(1)),
 }
 
 
 class TestCheckScales:
     PROF = np.cumsum(np.random.default_rng(5).standard_normal(50))
 
+    SHAPE = "^scales must be a nonempty, strictly increasing 1-d array$"
+    WHOLE = "^scales must be whole numbers$"
+
     @pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
     @pytest.mark.parametrize(
-        "scales",
-        [[4, 4, 5], [60, 10], [5, 2], [], [[4, 8]], 8],
-        ids=["repeated", "decreasing", "decreasing-below-minimum", "empty", "2-d", "0-d"],
+        "scales, message",
+        [([4, 4, 5], SHAPE), ([60, 10], SHAPE), ([5, 2], SHAPE), ([], SHAPE),
+         ([[4, 8]], SHAPE), (8, SHAPE), ([4.7, 8.9], WHOLE), ([4, 8.5], WHOLE),
+         ([np.nan, 8.0], WHOLE), ([4.0, np.inf], WHOLE), ([[4.5, 8.0]], WHOLE)],
+        ids=["repeated", "decreasing", "decreasing-below-minimum", "empty", "2-d", "0-d",
+             "fractions", "one-fraction", "nan", "inf", "2-d-fraction"],
     )
-    def test_malformed_grid_is_data_error(self, entry, scales):
-        message = "^scales must be a nonempty, strictly increasing 1-d array$"
-        with pytest.raises(DataError, match=message):
-            SCALE_ENTRY_POINTS[entry](self.PROF, scales)
+    def test_malformed_grid_is_data_error(self, entry, scales, message):
+        # a box size cast to int64 unchecked would truncate 4.7 to 4 silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                SCALE_ENTRY_POINTS[entry](self.PROF, scales)
 
     @pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
     @pytest.mark.parametrize(
@@ -651,6 +659,15 @@ class TestCheckScales:
     def test_grid_outside_bounds_is_scale_range_error(self, entry, scales, message):
         with pytest.raises(ScaleRangeError, match=message):
             SCALE_ENTRY_POINTS[entry](self.PROF, scales)
+
+    @pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
+    def test_integral_floats_are_their_ints(self, entry):
+        whole = SCALE_ENTRY_POINTS[entry](self.PROF, [4, 8, 16])
+        floats = SCALE_ENTRY_POINTS[entry](self.PROF, np.array([4.0, 8.0, 16.0]))
+        if isinstance(whole, FluctuationFunction):
+            assert floats.scales.dtype == np.int64
+            whole, floats = whole.f, floats.f
+        assert np.array_equal(whole, floats)
 
     def test_scale_bounds_checked(self):
         prof = np.arange(50.0)
@@ -727,18 +744,40 @@ class TestColumnIndependence:
 class TestSingleSeriesWrappers:
     def test_wrappers_share_kernel_path(self):
         values = np.cumsum(np.random.default_rng(2).standard_normal(400))
-        y = Profile(values)
         grid = np.array([4, 8, 16, 32])
-        a = fluctuation(y, grid, Estimator.dma(0.5))
+        a = fluctuation(values, grid, Estimator.dma(0.5))
         assert a.method == "CDMA" and a.n == 400
         assert np.array_equal(
             a.f, dma_fluctuation_matrix(values, grid, 0.5)[0]
         )
-        b = fluctuation(y, grid, Estimator.dfa(1))
+        b = fluctuation(values, grid, Estimator.dfa(1))
         assert b.method == "DFA" and b.n == 400
         assert np.array_equal(
             b.f, dfa_fluctuation_matrix(values, grid, 1)[0]
         )
+
+    @pytest.mark.parametrize("est", [Estimator.dma(0.5), Estimator.dfa(1)], ids=lambda e: e.tag)
+    @pytest.mark.parametrize(
+        "y, message",
+        [(np.zeros((2, 50)), "^profile must be a nonempty 1-d array$"),
+         (np.zeros((1, 50)), "^profile must be a nonempty 1-d array$"),
+         (np.zeros(0), "^profile must be a nonempty 1-d array$"),
+         (np.r_[np.zeros(49), np.nan], "^profile values must be finite$"),
+         (np.r_[-np.inf, np.zeros(49)], "^profile values must be finite$")],
+        ids=["2-d", "one-row-2-d", "empty", "nan", "inf"],
+    )
+    def test_profile_must_be_one_finite_row(self, monkeypatch, est, y, message):
+        # the kernels take any 2-d batch, so the one-row wrapper must refuse one
+        computed = []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix", lambda *a: computed.append(a))
+        with pytest.raises(DataError, match=message):
+            fluctuation(y, np.array([4, 8, 16]), est)
+        assert computed == []
+
+    def test_any_finite_row_is_a_profile(self):
+        # analytic profiles (ramps, polynomials) need not end at 0
+        f = fluctuation(np.array([-5.0, 3.0, 4.0, 7.5]), [3, 4], Estimator.dma(0.0))
+        assert f.n == 4 and np.all(np.isfinite(f.f))
 
     def test_batch_rows_equal_single_rows(self):
         rng = np.random.default_rng(31)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from wfetest.detrend import Estimator, FluctuationFunction, default_scales
+from wfetest.detrend import Estimator, FluctuationFunction, default_scales, fluctuation
 from wfetest.errors import (
     ConfigError,
     DataError,
@@ -18,9 +18,13 @@ from wfetest.scaling import (
     ScalingFit,
     _ols,
     detect_scaling_range,
+    estimate,
     fit_power_law,
 )
 from wfetest.shuffletest import shuffle_exponents
+from wfetest.timeseries import ReturnSeries, profile
+
+from conftest import day_range
 
 
 def power_law_f(scales, h, amp=1.0, method="DFA", n=4096):
@@ -332,3 +336,16 @@ class TestOneWindow:
 
     def test_fit_window_constant(self):
         assert FIT_WINDOW == 15
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("est", [Estimator.dfa(), Estimator.dma(0.5)], ids=lambda e: e.tag)
+    @pytest.mark.parametrize("range_policy", ["full", "auto"])
+    def test_takes_the_returns(self, est, range_policy):
+        values = np.random.default_rng(17).standard_t(3, 1200) * 0.01
+        f, fit = estimate(ReturnSeries(day_range(1200), values), est, range_policy)
+        want = fluctuation(profile(values), default_scales(1200), est)
+        assert np.array_equal(f.scales, want.scales) and np.array_equal(f.f, want.f)
+        assert f.n == 1200 and f.method == est.tag
+        n_fit = len(f.scales) if range_policy == "full" else FIT_WINDOW
+        assert fit.n_points == n_fit

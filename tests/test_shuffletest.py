@@ -104,7 +104,7 @@ class TestShuffle:
         _shuffled_slopes(values, Recorder(), np.array([10, 20]), 8, (2,), indices)
         for row, i in zip(seen[0], indices, strict=True):
             perm = replicate_rng(8, i, (2,)).permutation(values)
-            assert np.array_equal(row, profile(ReturnSeries(day_range(n), perm)).values), i
+            assert np.array_equal(row, profile(perm)), i
 
 
 class TestReplicateRng:
@@ -228,16 +228,49 @@ class TestShuffleExponents:
             )
 
     @pytest.mark.parametrize(
-        "scales", [[60, 10], [[10, 20]], []], ids=["decreasing", "2-d", "empty"]
+        "scales, message",
+        [([60, 10], "^scales must be a nonempty, strictly increasing 1-d array$"),
+         ([[10, 20]], "^scales must be a nonempty, strictly increasing 1-d array$"),
+         ([], "^scales must be a nonempty, strictly increasing 1-d array$"),
+         ([10.5, 20.0], "^scales must be whole numbers$"),
+         ([np.nan, 20.0], "^scales must be whole numbers$"),
+         ([10.0, np.inf], "^scales must be whole numbers$")],
+        ids=["decreasing", "2-d", "empty", "fraction", "nan", "inf"],
     )
-    def test_malformed_grid_fails_before_any_draw(self, monkeypatch, scales):
+    def test_malformed_grid_fails_before_any_draw(self, monkeypatch, scales, message):
         # on 50 returns, [60, 10] once gave all-NaN slopes and a redraw-cap error
         drawn = []
         monkeypatch.setattr(shuffletest, "_replicate_rngs", lambda *a: drawn.append(a))
-        message = "^scales must be a nonempty, strictly increasing 1-d array$"
         with pytest.raises(DataError, match=message):
             shuffle_exponents(
                 self.r.values[:50], Estimator.dfa(), scales, (10, 60), 100, base_seed=1
+            )
+        assert drawn == []
+
+    def test_integral_float_grid_is_the_int_grid(self):
+        ensembles = [
+            shuffle_exponents(self.r.values, Estimator.dfa(), grid, self.range, 20, base_seed=3)[0]
+            for grid in (self.grid, self.grid.astype(np.float64))
+        ]
+        assert np.array_equal(*ensembles)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [(np.r_[np.zeros(499), np.nan], "^series values must be finite$"),
+         (np.r_[np.inf, np.zeros(499)], "^series values must be finite$"),
+         (np.zeros((2, 500)), "^series must be a nonempty 1-d array$"),
+         (np.zeros(0), "^series must be a nonempty 1-d array$")],
+        ids=["nan", "inf", "2-d", "empty"],
+    )
+    def test_bad_values_fail_before_any_draw(self, monkeypatch, values, message):
+        # unchecked, NaN returns end in a redraw-cap EstimationError and a
+        # 2-d array in a ScaleRangeError against its row count
+        drawn = []
+        monkeypatch.setattr(shuffletest, "_replicate_rngs", lambda *a: drawn.append(a))
+        grid = default_scales(500)
+        with pytest.raises(DataError, match=message):
+            shuffle_exponents(
+                values, Estimator.dfa(), grid, (int(grid[0]), int(grid[-1])), 50, base_seed=1
             )
         assert drawn == []
 
@@ -288,7 +321,7 @@ class TestShuffleExponents:
         assert seen and all(np.array_equal(s, fitted) for s in seen)
         # the original H and each H_s are the same fit over the same range
         perm = replicate_rng(3, 7).permutation(self.r.values)
-        f = Estimator.dfa().fluctuation_matrix(np.cumsum(perm - perm.mean()), scales)[0]
+        f = Estimator.dfa().fluctuation_matrix(profile(perm), scales)[0]
         assert ens[7] == fit_power_law(FluctuationFunction(scales, f, "DFA", 1200), s_range).h
 
     def test_zero_outside_range_harmless(self):

@@ -13,13 +13,12 @@ from wfetest.synth import (
     generate_fgn,
     synthetic_prices,
 )
-from wfetest.timeseries import log_returns
+from wfetest.timeseries import log_returns, profile
 
 
 def fitted_h(values, est=Estimator.dfa()):
-    prof = np.cumsum(values - values.mean())
     grid = default_scales(len(values))
-    f = est.fluctuation_matrix(prof, grid)[0]
+    f = est.fluctuation_matrix(profile(values), grid)[0]
     ff = FluctuationFunction(grid, f, est.tag, len(values))
     return fit_power_law(ff, (int(grid[0]), int(grid[-1]))).h
 

@@ -14,7 +14,6 @@ from wfetest.timeseries import (
     IRAQ_WAR,
     NAFTA,
     PriceSeries,
-    Profile,
     ReturnSeries,
     _parse_date,
     load_prices,
@@ -311,21 +310,28 @@ class TestLogReturns:
 
 class TestProfile:
     def test_hand_value(self):
-        r = ReturnSeries(day_range(3), np.array([1.0, 2.0, 3.0]))
-        y = profile(r)
-        assert y.values.tolist() == [-1.0, -1.0, 0.0]
-        assert y.n == 3
+        values = np.array([1.0, 2.0, 3.0])
+        y = profile(values)
+        assert y.tolist() == [-1.0, -1.0, 0.0]
+        assert y.dtype == np.float64 and not y.flags.writeable
+        assert values.flags.writeable
 
     def test_profile_ends_near_zero(self):
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(500)
-        y = profile(ReturnSeries(day_range(500), vals))
-        assert abs(y.values[-1]) < 1e-9 * max(1.0, np.abs(vals).sum())
+        y = profile(vals)
+        assert abs(y[-1]) < 1e-9 * max(1.0, np.abs(vals).sum())
 
-    def test_profile_admits_any_finite_values(self):
-        Profile(np.array([-5.0, 3.0]))
-        with pytest.raises(DataError):
-            Profile(np.array([1.0, np.nan]))
+    @pytest.mark.parametrize(
+        "values, message",
+        [([[1.0, 2.0]], "^series must be a nonempty 1-d array$"),
+         ([], "^series must be a nonempty 1-d array$"),
+         ([1.0, np.nan], "^series values must be finite$")],
+        ids=["2-d", "empty", "nan"],
+    )
+    def test_one_finite_series_only(self, values, message):
+        with pytest.raises(DataError, match=message):
+            profile(values)
 
 
 class TestSplitByDates:
