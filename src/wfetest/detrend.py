@@ -335,7 +335,8 @@ def _check_scales(scales, n: int, min_scale: int) -> np.ndarray:
     at least ``min_scale`` to at most n.
     """
     given = np.asarray(scales)
-    if not np.all(np.isfinite(given) & (given == np.round(given))):
+    numeric = given.dtype.kind in "iuf"
+    if not (numeric and np.all(np.isfinite(given) & (given == np.round(given)))):
         raise DataError("scales must be whole numbers")
     if given.ndim != 1 or len(given) == 0 or np.any(given[1:] <= given[:-1]):
         raise DataError("scales must be a nonempty, strictly increasing 1-d array")

@@ -638,9 +638,11 @@ class TestCheckScales:
         "scales, message",
         [([4, 4, 5], SHAPE), ([60, 10], SHAPE), ([5, 2], SHAPE), ([], SHAPE),
          ([[4, 8]], SHAPE), (8, SHAPE), ([4.7, 8.9], WHOLE), ([4, 8.5], WHOLE),
-         ([np.nan, 8.0], WHOLE), ([4.0, np.inf], WHOLE), ([[4.5, 8.0]], WHOLE)],
+         ([np.nan, 8.0], WHOLE), ([4.0, np.inf], WHOLE), ([[4.5, 8.0]], WHOLE),
+         (["4", "8"], WHOLE), ([None, 8], WHOLE), ([True, False], WHOLE)],
         ids=["repeated", "decreasing", "decreasing-below-minimum", "empty", "2-d", "0-d",
-             "fractions", "one-fraction", "nan", "inf", "2-d-fraction"],
+             "fractions", "one-fraction", "nan", "inf", "2-d-fraction",
+             "strings", "none", "booleans"],
     )
     def test_malformed_grid_is_data_error(self, entry, scales, message):
         # a box size cast to int64 unchecked would truncate 4.7 to 4 silently
