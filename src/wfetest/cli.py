@@ -167,7 +167,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     series = _load(args)
     est = _estimator(args)
     r = log_returns(series)
-    f, fit = estimate(r, est, args.range_policy)
+    scales, f, fit = estimate(r, est, args.range_policy)
     relations = {"eta": fit.eta, "gamma": fit.gamma}
 
     config = _config_dict(args)
@@ -176,10 +176,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "wfetest/fluctuation/v1",
             config,
             {
-                "method": f.method,
-                "n_returns": f.n,
-                "scales": f.scales,
-                "f": f.f,
+                "method": est.tag,
+                "n_returns": len(r),
+                "scales": scales,
+                "f": f,
                 "fit": fit.to_json_dict(),
                 "relations": relations,
             },
@@ -191,11 +191,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         lines.append("# relations: " + json.dumps(relations, sort_keys=True))
         lines.append("s,F")
-        lines.extend(f"{int(s)},{float(v)!r}" for s, v in zip(f.scales, f.f))
+        lines.extend(f"{int(s)},{float(v)!r}" for s, v in zip(scales, f))
         text = "\n".join(lines) + "\n"
     _atomic_write(args.output, text)
     print(
-        f"{f.method}: H = {fit.h:.4f} +/- {fit.stderr:.4f} over "
+        f"{est.tag}: H = {fit.h:.4f} +/- {fit.stderr:.4f} over "
         f"s in [{fit.s_lo}, {fit.s_hi}]  (eta = {fit.eta:.4f}, "
         f"gamma = {fit.gamma:.4f})"
     )

@@ -38,7 +38,8 @@ Both kernels accept a batch of profiles as a 2-d array and treat rows
 independently: a row's F is computed the same way whatever rows share
 its block, so it never depends on the batch around it.  The
 single-series :func:`fluctuation` is the one-row case, so every caller
-shares one numerical path; it checks that its profile is one row.
+shares one numerical path; it checks that its profile is one row and
+that F is finite, and returns F as a plain read-only array.
 """
 
 from __future__ import annotations
@@ -74,31 +75,6 @@ BLOCK_CELLS = 1 << 16
 # values over its threads, and the sum then depends on
 # OPENBLAS_NUM_THREADS; a dot this short runs on one thread.
 DOT_CELLS = 1 << 13
-
-
-@dataclass(frozen=True)
-class FluctuationFunction:
-    """Paired (s, F(s)) samples with the method tag and source length."""
-
-    scales: np.ndarray
-    f: np.ndarray
-    method: str
-    n: int
-
-    def __post_init__(self):
-        scales = _readonly(self.scales, np.int64)
-        f = _readonly(self.f, np.float64)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "f", f)
-        if scales.shape != f.shape or scales.ndim != 1:
-            raise DataError("scales and f must be 1-d arrays of equal length")
-        if not np.all(scales[1:] > scales[:-1]):
-            raise DataError("scales must be strictly increasing")
-        if not np.all(np.isfinite(f)) or np.any(f < 0):
-            raise DataError("fluctuation values must be finite and nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.scales)
 
 
 @dataclass(frozen=True)
@@ -347,12 +323,16 @@ def _check_scales(scales, n: int, min_scale: int) -> np.ndarray:
     return given.astype(np.int64, copy=False)
 
 
-def fluctuation(y: np.ndarray, scales: np.ndarray, est: Estimator) -> FluctuationFunction:
-    """Fluctuation function of one profile on ``scales``, checked by the kernel.
+def fluctuation(y: np.ndarray, scales: np.ndarray, est: Estimator) -> np.ndarray:
+    """F of one profile on ``scales``: a read-only float64 1-d array.
 
     ``y`` is any 1-d, nonempty and finite array, such as a ``profile``
-    or a ramp; anything else is a DataError before the kernel runs.
+    or a ramp; anything else is a DataError before the kernel runs.  The
+    kernel checks ``scales``, and an F that is not finite, such as one
+    whose sum of squares overflows, is a DataError too.
     """
     y = _check_row(y, "profile")
     f = est.fluctuation_matrix(y, scales)[0]
-    return FluctuationFunction(scales, f, est.tag, len(y))
+    if not np.all(np.isfinite(f)):
+        raise DataError("fluctuation values must be finite")
+    return _readonly(f, np.float64)

@@ -3,9 +3,10 @@
 H is the slope of an ordinary least-squares fit of ln F against ln s.
 One range rule, :func:`detect_scaling_range`, picks each row's window of
 a given number of grid points with the smallest fitting residual, ties
-going to the earliest.  The ``auto`` range policy fits the paper's
-window of ``FIT_WINDOW`` points; the ``full`` range policy and a shuffle
-ensemble's fixed range are the one window of the whole grid.
+going to the earliest; :func:`fit_power_law` is its one-row case.  The
+``auto`` range policy fits the paper's window of ``FIT_WINDOW`` points;
+the ``full`` range policy and a shuffle ensemble's fixed range are the
+one window of the whole grid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detrend import Estimator, FluctuationFunction, default_scales, fluctuation
+from .detrend import Estimator, _check_scales, default_scales, fluctuation
 from .errors import ConfigError, DataError, DegenerateInputError, InsufficientDataError
 from .timeseries import ReturnSeries, profile
 
@@ -89,30 +90,32 @@ def _in_range(scales: np.ndarray, s_range: tuple[int, int]) -> np.ndarray:
 
 
 def fit_power_law(
-    f: FluctuationFunction, s_range: tuple[int, int]
+    f: np.ndarray, scales: np.ndarray, window_len: int = FIT_WINDOW
 ) -> ScalingFit:
-    """Fit F(s) ~ s^H over grid points with s_lo <= s <= s_hi.
+    """Fit F(s) ~ s^H, F on ``scales``, over the range rule's window.
 
-    The recorded range is snapped to the smallest and largest grid
-    scales actually fitted.
+    H is the slope of :func:`detect_scaling_range` for the one row
+    ``f``; the fit adds the stderr, rss and point count.  No usable
+    window is a DegenerateInputError.
     """
-    mask = _in_range(f.scales, s_range)
-    n_points = int(mask.sum())
-    fv = f.f[mask]
-    if np.any(fv <= 0):
-        raise DegenerateInputError("F(s) = 0 inside the fit range; log undefined")
-    x = np.log(f.scales[mask].astype(np.float64))
-    y = np.log(fv)
-    slope, rss = _ols(x, y)
+    f = np.asarray(f)
+    (lo,), _ = detect_scaling_range(f[None], scales, window_len)
+    if lo < 0:
+        raise DegenerateInputError(
+            f"F(s) is 0 or not finite in every window of {window_len} grid points"
+        )
+    s = np.asarray(scales, dtype=np.float64)[lo : lo + window_len]
+    x = np.log(s)
+    slope, rss = _ols(x, np.log(f[lo : lo + window_len]))
     sxx = np.sum((x - x.mean()) ** 2)
-    stderr = np.sqrt(rss / (n_points - 2) / sxx) if n_points > 2 else 0.0
+    stderr = np.sqrt(rss / (window_len - 2) / sxx) if window_len > 2 else 0.0
     return ScalingFit(
         h=float(slope),
         stderr=float(stderr),
-        s_lo=int(f.scales[mask][0]),
-        s_hi=int(f.scales[mask][-1]),
+        s_lo=int(s[0]),
+        s_hi=int(s[-1]),
         rss=float(rss),
-        n_points=n_points,
+        n_points=window_len,
     )
 
 
@@ -125,8 +128,14 @@ def detect_scaling_range(
     window start, an index into ``scales``, and the window's slope.
     Ties break to the earliest window.  A window that touches a
     nonpositive or non-finite F never wins; a row left with none gets
-    start -1 and slope NaN.
+    start -1 and slope NaN.  ``scales`` gets the kernels' check with a
+    minimum of 1 and no maximum, and an ``f_matrix`` that is not 2-d
+    with one column per scale is a DataError.
     """
+    scales = _check_scales(scales, np.inf, 1)
+    f_matrix = np.asarray(f_matrix)
+    if f_matrix.ndim != 2 or f_matrix.shape[1] != len(scales):
+        raise DataError("f_matrix must be 2-d with one column per scale")
     if window_len < 2:
         raise ConfigError(f"window_len must be >= 2, got {window_len}")
     if window_len > len(scales):
@@ -135,7 +144,7 @@ def detect_scaling_range(
         )
     logf = np.log(np.where(np.isfinite(f_matrix) & (f_matrix > 0), f_matrix, np.nan))
     slopes, rss = _ols(
-        sliding_window_view(np.log(np.asarray(scales, dtype=np.float64)), window_len),
+        sliding_window_view(np.log(scales.astype(np.float64)), window_len),
         sliding_window_view(logf, window_len, axis=-1),
     )
     # a window touching a bad F has NaN slope and rss, and never wins
@@ -147,8 +156,8 @@ def detect_scaling_range(
 
 def estimate(
     r: ReturnSeries, est: Estimator, range_policy: str = "full"
-) -> tuple[FluctuationFunction, ScalingFit]:
-    """Fluctuation function of the returns' profile and its fit over the range rule's window.
+) -> tuple[np.ndarray, np.ndarray, ScalingFit]:
+    """Scales, F of the returns' profile, and the fit over the range rule's window.
 
     F is computed on ``profile(r.values)`` over ``default_scales(len(r))``.
     ``range_policy`` ``"full"`` is the one window of the whole grid, and
@@ -157,11 +166,6 @@ def estimate(
     if range_policy not in RANGE_POLICIES:
         raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
     scales = default_scales(len(r))
-    n_fit = len(scales) if range_policy == "full" else FIT_WINDOW
     f = fluctuation(profile(r.values), scales, est)
-    (lo,), _ = detect_scaling_range(f.f[None, :], f.scales, n_fit)
-    if lo < 0:
-        raise DegenerateInputError(
-            f"F(s) is 0 or not finite in every window of {n_fit} grid points"
-        )
-    return f, fit_power_law(f, (int(f.scales[lo]), int(f.scales[lo + n_fit - 1])))
+    n_fit = len(scales) if range_policy == "full" else FIT_WINDOW
+    return scales, f, fit_power_law(f, scales, n_fit)

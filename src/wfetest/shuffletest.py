@@ -351,10 +351,10 @@ def efficiency_test(
     or seed fails before anything is estimated.
     """
     _check_shuffle_args(n_replicates, seed)
-    f, fit = estimate(r, est, range_policy)
+    scales, _, fit = estimate(r, est, range_policy)
 
     ensemble, n_redraws = shuffle_exponents(
-        r.values, est, f.scales, (fit.s_lo, fit.s_hi), n_replicates,
+        r.values, est, scales, (fit.s_lo, fit.s_hi), n_replicates,
         seed, spawn_prefix, pmap,
     )
     return ShuffleTestResult(

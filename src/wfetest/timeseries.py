@@ -46,8 +46,12 @@ def _readonly(a, dtype) -> np.ndarray:
 
 
 def _check_row(values, name: str) -> np.ndarray:
-    """``values`` as float64; a DataError naming ``name`` unless 1-d, nonempty and finite."""
-    values = np.asarray(values, dtype=np.float64)
+    """``values`` as float64; a DataError naming ``name`` unless integer
+    or float (checked before the cast), 1-d, nonempty and finite."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise DataError(f"{name} values must be integers or floats")
+    values = values.astype(np.float64, copy=False)
     if values.ndim != 1 or len(values) == 0:
         raise DataError(f"{name} must be a nonempty 1-d array")
     if not np.all(np.isfinite(values)):

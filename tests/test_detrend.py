@@ -15,7 +15,6 @@ from wfetest.detrend import (
     DOT_CELLS,
     MIN_GRID_POINTS,
     Estimator,
-    FluctuationFunction,
     _dfa_basis,
     _row_sum_squares,
     _window_split,
@@ -666,9 +665,6 @@ class TestCheckScales:
     def test_integral_floats_are_their_ints(self, entry):
         whole = SCALE_ENTRY_POINTS[entry](self.PROF, [4, 8, 16])
         floats = SCALE_ENTRY_POINTS[entry](self.PROF, np.array([4.0, 8.0, 16.0]))
-        if isinstance(whole, FluctuationFunction):
-            assert floats.scales.dtype == np.int64
-            whole, floats = whole.f, floats.f
         assert np.array_equal(whole, floats)
 
     def test_scale_bounds_checked(self):
@@ -748,15 +744,11 @@ class TestSingleSeriesWrappers:
         values = np.cumsum(np.random.default_rng(2).standard_normal(400))
         grid = np.array([4, 8, 16, 32])
         a = fluctuation(values, grid, Estimator.dma(0.5))
-        assert a.method == "CDMA" and a.n == 400
-        assert np.array_equal(
-            a.f, dma_fluctuation_matrix(values, grid, 0.5)[0]
-        )
+        assert a.shape == (4,) and a.dtype == np.float64 and not a.flags.writeable
+        assert np.array_equal(a, dma_fluctuation_matrix(values, grid, 0.5)[0])
         b = fluctuation(values, grid, Estimator.dfa(1))
-        assert b.method == "DFA" and b.n == 400
-        assert np.array_equal(
-            b.f, dfa_fluctuation_matrix(values, grid, 1)[0]
-        )
+        assert b.shape == (4,) and b.dtype == np.float64 and not b.flags.writeable
+        assert np.array_equal(b, dfa_fluctuation_matrix(values, grid, 1)[0])
 
     @pytest.mark.parametrize("est", [Estimator.dma(0.5), Estimator.dfa(1)], ids=lambda e: e.tag)
     @pytest.mark.parametrize(
@@ -765,8 +757,11 @@ class TestSingleSeriesWrappers:
          (np.zeros((1, 50)), "^profile must be a nonempty 1-d array$"),
          (np.zeros(0), "^profile must be a nonempty 1-d array$"),
          (np.r_[np.zeros(49), np.nan], "^profile values must be finite$"),
-         (np.r_[-np.inf, np.zeros(49)], "^profile values must be finite$")],
-        ids=["2-d", "one-row-2-d", "empty", "nan", "inf"],
+         (np.r_[-np.inf, np.zeros(49)], "^profile values must be finite$"),
+         (["a"] * 50, "^profile values must be integers or floats$"),
+         ([None] * 50, "^profile values must be integers or floats$"),
+         ([True] * 50, "^profile values must be integers or floats$")],
+        ids=["2-d", "one-row-2-d", "empty", "nan", "inf", "strings", "none", "booleans"],
     )
     def test_profile_must_be_one_finite_row(self, monkeypatch, est, y, message):
         # the kernels take any 2-d batch, so the one-row wrapper must refuse one
@@ -779,7 +774,14 @@ class TestSingleSeriesWrappers:
     def test_any_finite_row_is_a_profile(self):
         # analytic profiles (ramps, polynomials) need not end at 0
         f = fluctuation(np.array([-5.0, 3.0, 4.0, 7.5]), [3, 4], Estimator.dma(0.0))
-        assert f.n == 4 and np.all(np.isfinite(f.f))
+        assert f.shape == (2,) and np.all(np.isfinite(f))
+
+    def test_overflowing_f_is_data_error(self):
+        # squares of a profile near 1e202 overflow, and F comes out inf
+        y = np.cumsum(np.full(100, 1e200))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DataError, match="^fluctuation values must be finite$"):
+                fluctuation(y, [4, 8], Estimator.dfa())
 
     def test_batch_rows_equal_single_rows(self):
         rng = np.random.default_rng(31)
@@ -794,17 +796,3 @@ class TestSingleSeriesWrappers:
         for i in (0, 3, 7):
             single = dfa_fluctuation_matrix(profs[i], scales, 1)[0]
             assert np.array_equal(batch[i], single)
-
-
-class TestFluctuationFunction:
-    def test_validation(self):
-        with pytest.raises(DataError):
-            FluctuationFunction(np.array([4, 8]), np.array([1.0]), "DFA", 100)
-        with pytest.raises(DataError):
-            FluctuationFunction(
-                np.array([8, 4]), np.array([1.0, 2.0]), "DFA", 100
-            )
-        with pytest.raises(DataError):
-            FluctuationFunction(
-                np.array([4, 8]), np.array([1.0, np.nan]), "DFA", 100
-            )

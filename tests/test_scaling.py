@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from wfetest.detrend import Estimator, FluctuationFunction, default_scales, fluctuation
+from wfetest.detrend import Estimator, default_scales, fluctuation
 from wfetest.errors import (
     ConfigError,
     DataError,
@@ -27,18 +27,17 @@ from wfetest.timeseries import ReturnSeries, profile
 from conftest import day_range
 
 
-def power_law_f(scales, h, amp=1.0, method="DFA", n=4096):
-    scales = np.asarray(scales, dtype=np.int64)
-    return FluctuationFunction(scales, amp * scales.astype(float) ** h, method, n)
+def power_law_f(scales, h, amp=1.0):
+    return amp * np.asarray(scales, dtype=float) ** h
 
 
-def scaling_range(f: FluctuationFunction, window_len: int):
+def scaling_range(f: np.ndarray, scales: np.ndarray, window_len: int):
     """(s_lo, s_hi) of the range rule's window for the one row f, or None."""
-    (start,), (slope,) = detect_scaling_range(f.f[None, :], f.scales, window_len)
+    (start,), (slope,) = detect_scaling_range(f[None, :], scales, window_len)
     if start < 0:
         assert np.isnan(slope)
         return None
-    return int(f.scales[start]), int(f.scales[start + window_len - 1])
+    return int(scales[start]), int(scales[start + window_len - 1])
 
 
 class TestOls:
@@ -77,47 +76,42 @@ class TestOls:
 class TestFitPowerLaw:
     def test_hand_values(self):
         # ln s = ln2 * (1, 2, 3) and ln F = ln2 * (0, 1, 3)
-        f = FluctuationFunction(np.array([2, 4, 8]), np.array([1.0, 2.0, 8.0]), "DFA", 100)
-        fit = fit_power_law(f, (2, 8))
+        fit = fit_power_law(np.array([1.0, 2.0, 8.0]), np.array([2, 4, 8]), 3)
         assert fit.h == pytest.approx(1.5, abs=1e-15)
         assert fit.rss == pytest.approx(math.log(2.0) ** 2 / 6.0, abs=1e-15)
         assert fit.stderr == pytest.approx(math.sqrt(1.0 / 12.0), abs=1e-15)
 
     def test_two_points_have_zero_stderr(self):
-        f = FluctuationFunction(np.array([2, 8]), np.array([1.0, 8.0]), "DFA", 100)
-        fit = fit_power_law(f, (2, 8))
+        fit = fit_power_law(np.array([1.0, 8.0]), np.array([2, 8]), 2)
         assert fit.h == pytest.approx(1.5, abs=1e-15)
         assert fit.stderr == 0.0
 
     def test_exact_law_recovered(self):
-        f = power_law_f(default_scales(4096), 0.7, amp=2.0)
-        fit = fit_power_law(f, (int(f.scales[0]), int(f.scales[-1])))
+        scales = default_scales(4096)
+        fit = fit_power_law(power_law_f(scales, 0.7, amp=2.0), scales, len(scales))
         assert fit.h == pytest.approx(0.7, abs=1e-12)
         assert fit.rss == pytest.approx(0.0, abs=1e-24)
         assert fit.stderr == pytest.approx(0.0, abs=1e-13)
-        assert fit.n_points == len(f)
-
-    def test_range_snaps_to_grid(self):
-        f = power_law_f(np.arange(10, 101, 10), 0.5)
-        fit = fit_power_law(f, (12, 47))
-        assert fit.s_lo == 20 and fit.s_hi == 40
-        assert fit.n_points == 3
-
-    def test_range_with_one_point_rejected(self):
-        f = power_law_f(np.arange(10, 101, 10), 0.5)
-        with pytest.raises(InsufficientDataError):
-            fit_power_law(f, (12, 17))
+        assert fit.n_points == len(scales)
 
     def test_zero_f_rejected(self):
         scales = np.array([4, 8, 16, 32])
-        f = FluctuationFunction(
-            scales, np.array([1.0, 0.0, 2.0, 3.0]), "DFA", 100
-        )
-        with pytest.raises(DegenerateInputError):
-            fit_power_law(f, (4, 32))
-        # fine when the zero lies outside the requested range
-        fit = fit_power_law(f, (16, 32))
-        assert fit.n_points == 2
+        f = np.array([1.0, 0.0, 2.0, 3.0])
+        message = r"^F\(s\) is 0 or not finite in every window of 3 grid points$"
+        with pytest.raises(DegenerateInputError, match=message):
+            fit_power_law(f, scales, 3)
+        # fine when a window of the given length misses the zero
+        fit = fit_power_law(f, scales, 2)
+        assert (fit.s_lo, fit.s_hi, fit.n_points) == (16, 32, 2)
+
+    @pytest.mark.parametrize(
+        "f, scales",
+        [([1.0], [4, 8]), ([1.0, 2.0], [8, 4]), ([[1.0, 2.0]], [4, 8])],
+        ids=["length-mismatch", "unsorted", "2-d"],
+    )
+    def test_unpaired_input_is_data_error(self, f, scales):
+        with pytest.raises(DataError):
+            fit_power_law(np.array(f), np.array(scales), 2)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -125,8 +119,8 @@ class TestFitPowerLaw:
         amp=st.floats(min_value=0.1, max_value=10.0),
     )
     def test_amplitude_never_biases_slope(self, h, amp):
-        f = power_law_f(np.arange(10, 200, 7), h, amp=amp)
-        fit = fit_power_law(f, (10, 199))
+        scales = np.arange(10, 200, 7)
+        fit = fit_power_law(power_law_f(scales, h, amp=amp), scales, len(scales))
         assert fit.h == pytest.approx(h, abs=1e-9)
 
 
@@ -155,8 +149,7 @@ class TestScanWindows:
         scales = np.arange(10, 60)
         y = 0.5 * np.log(scales.astype(float))
         y[:35] += 1e-2 * np.sin(np.arange(35))
-        f = FluctuationFunction(scales, np.exp(y), "DFA", 1000)
-        assert scaling_range(f, 15) == (45, 59)
+        assert scaling_range(np.exp(y), scales, 15) == (45, 59)
 
     def test_zero_f_window_gets_inf(self):
         # exact law on grid points 0..7, so the zero at 3 excludes windows 0..3
@@ -164,17 +157,17 @@ class TestScanWindows:
         values = np.exp(np.random.default_rng(2).standard_normal(16))
         values[:8] = scales[:8] ** 0.5
         values[3] = 0.0
-        f = FluctuationFunction(scales, values, "DFA", 1000)
-        assert scaling_range(f, 4) == (14, 17)
+        assert scaling_range(values, scales, 4) == (14, 17)
 
     def test_bad_window_len(self):
-        f = power_law_f(np.arange(10, 30), 0.5)
+        scales = np.arange(10, 30)
+        f = power_law_f(scales, 0.5)
         with pytest.raises(ConfigError, match=r"^window_len must be >= 2, got 1$"):
-            scaling_range(f, 1)
+            scaling_range(f, scales, 1)
         with pytest.raises(
             ConfigError, match=r"^window_len 21 exceeds the 20-point scale grid$"
         ):
-            scaling_range(f, 21)
+            scaling_range(f, scales, 21)
 
 
 class TestDetectScalingRange:
@@ -185,25 +178,24 @@ class TestDetectScalingRange:
         x40 = math.log(40.0)
         y = np.where(x <= x40, 0.9 * x, 0.9 * x40 + 0.4 * (x - x40))
         y = y + np.where(scales <= 40, 1e-3 * np.sin(np.arange(len(x))), 0.0)
-        f = FluctuationFunction(scales, np.exp(y), "DFA", 4000)
-        lo, hi = scaling_range(f, 6)
+        lo, hi = scaling_range(np.exp(y), scales, 6)
         # which clean window wins among ~1e-30 rss values is unspecified,
         # but the range must avoid the noisy regime entirely
         assert lo > 40
-        fit = fit_power_law(f, (lo, hi))
+        fit = fit_power_law(np.exp(y), scales, 6)
+        assert (fit.s_lo, fit.s_hi) == (lo, hi)
         assert fit.h == pytest.approx(0.4, abs=1e-6)
 
     def test_exact_ties_take_earliest_window(self):
         # constant F: every window has rss exactly +0.0
         scales = np.arange(10, 40)
-        f = FluctuationFunction(scales, np.ones(30), "DFA", 1000)
-        lo, hi = scaling_range(f, 15)
+        lo, hi = scaling_range(np.ones(30), scales, 15)
         assert lo == 10 and hi == 24
 
     def test_window_len_is_exact(self):
-        f = power_law_f(default_scales(2000), 0.5)
-        lo, hi = scaling_range(f, 15)
-        count = int(np.sum((f.scales >= lo) & (f.scales <= hi)))
+        scales = default_scales(2000)
+        lo, hi = scaling_range(power_law_f(scales, 0.5), scales, 15)
+        count = int(np.sum((scales >= lo) & (scales <= hi)))
         assert count == 15
 
     def test_no_contiguous_usable_window(self):
@@ -211,17 +203,31 @@ class TestDetectScalingRange:
         values = np.linspace(1.0, 2.0, 20)
         values[5] = 0.0
         values[12] = 0.0
-        f = FluctuationFunction(scales, values, "DFA", 1000)
-        assert scaling_range(f, 15) is None
+        assert scaling_range(values, scales, 15) is None
 
     def test_too_few_usable_points(self):
         # 14 positive points, each window of 15 touches a zero
-        f = power_law_f(np.arange(10, 30), 0.5)
-        values = f.f.copy()
+        scales = np.arange(10, 30)
+        values = power_law_f(scales, 0.5)
         values[14:] = 0.0
-        f = FluctuationFunction(f.scales, values, "DFA", 1000)
-        assert scaling_range(f, 15) is None
-        assert scaling_range(f, 14) == (10, 23)
+        assert scaling_range(values, scales, 15) is None
+        assert scaling_range(values, scales, 14) == (10, 23)
+
+    @pytest.mark.parametrize(
+        "f_matrix, scales, message",
+        [(np.ones((1, 1)), [4, 8], "^f_matrix must be 2-d with one column per scale$"),
+         (np.ones(2), [4, 8], "^f_matrix must be 2-d with one column per scale$"),
+         (np.ones((1, 2)), [8, 4], "^scales must be a nonempty, strictly increasing 1-d array$"),
+         (power_law_f(default_scales(1000), 0.5)[None, ::-1], default_scales(1000)[::-1],
+          "^scales must be a nonempty, strictly increasing 1-d array$"),
+         (np.ones((1, 2)), [4.5, 8], "^scales must be whole numbers$")],
+        ids=["length-mismatch", "1-d", "unsorted", "reversed-grid", "fraction"],
+    )
+    def test_unpaired_input_is_data_error(self, f_matrix, scales, message):
+        # unchecked, a short row was a broadcast ValueError, a 1-d F an
+        # AxisError, and a reversed grid was fitted to slope -0.4999
+        with pytest.raises(DataError, match=message):
+            detect_scaling_range(f_matrix, np.array(scales), 2)
 
 
 def fit_with_h(h: float) -> ScalingFit:
@@ -270,8 +276,8 @@ class TestBatchedRule:
             )
             assert start[i] == one_start >= 0 and slopes[i] == one_slope
             lo, hi = int(scales[start[i]]), int(scales[start[i] + window_len - 1])
-            f = FluctuationFunction(scales, f_matrix[i], "DFA", n)
-            assert slopes[i] == fit_power_law(f, (lo, hi)).h
+            fit = fit_power_law(f_matrix[i], scales, window_len)
+            assert slopes[i] == fit.h and (fit.s_lo, fit.s_hi) == (lo, hi)
 
     def test_bad_window_never_wins_and_ties_go_earliest(self):
         # constant F: every window has rss exactly +0.0 unless it holds the NaN
@@ -287,15 +293,14 @@ class TestOneWindow:
     """With window_len == len(scales) the rule is the fixed-range fit."""
 
     def test_matches_scalar_fit(self):
-        # every column given is fitted, as fit_power_law fits its whole range
+        # every column given is fitted, as fit_power_law fits its one window
         rng = np.random.default_rng(8)
         scales = default_scales(2000)[3:17]
         rows = np.exp(rng.standard_normal((5, len(scales))))
         start, slopes = detect_scaling_range(rows, scales, len(scales))
         assert start.tolist() == [0] * 5
         for i in range(5):
-            f = FluctuationFunction(scales, rows[i], "DFA", 2000)
-            fit = fit_power_law(f, (int(scales[0]), int(scales[-1])))
+            fit = fit_power_law(rows[i], scales, len(scales))
             assert slopes[i] == fit.h
 
     @pytest.mark.parametrize("est", [Estimator.dfa(), Estimator.dma(0.5)], ids=["dfa", "cdma"])
@@ -305,13 +310,12 @@ class TestOneWindow:
         scales = default_scales(n)
         profiles = np.cumsum(np.random.default_rng(11).standard_normal((64, n)), axis=1)
         f_matrix = est.fluctuation_matrix(profiles, scales)
-        for s_range in ((int(scales[0]), int(scales[-1])), (int(scales[3]), int(scales[17]))):
-            fitted = scales[(scales >= s_range[0]) & (scales <= s_range[1])]
+        for lo, hi in ((0, len(scales)), (3, 18)):
+            fitted = scales[lo:hi]
             f_fitted = est.fluctuation_matrix(profiles, fitted)
             _, slopes = detect_scaling_range(f_fitted, fitted, len(fitted))
             for i, row in enumerate(f_matrix):
-                f = FluctuationFunction(scales, row, est.tag, n)
-                assert slopes[i] == fit_power_law(f, s_range).h
+                assert slopes[i] == fit_power_law(row[lo:hi], fitted, len(fitted)).h
 
     def test_bad_rows_become_nan(self):
         scales = np.array([10, 20, 40, 80])
@@ -326,11 +330,9 @@ class TestOneWindow:
         assert np.isnan(slopes[1]) and np.isnan(slopes[2])
 
     def test_narrow_range_rejected(self):
-        # one range rule: the fit and the shuffle ensemble refuse the same range
+        # a fixed range must hold two grid points, as any fit window does
         scales = np.array([10, 20, 40, 80])
         message = r"range \[15, 30\] holds 1 grid point\(s\); need >= 2"
-        with pytest.raises(InsufficientDataError, match=message):
-            fit_power_law(power_law_f(scales, 0.5), (15, 30))
         with pytest.raises(InsufficientDataError, match=message):
             shuffle_exponents(np.arange(400.0), Estimator.dfa(), scales, (15, 30), 3, 0)
 
@@ -343,9 +345,10 @@ class TestEstimate:
     @pytest.mark.parametrize("range_policy", ["full", "auto"])
     def test_takes_the_returns(self, est, range_policy):
         values = np.random.default_rng(17).standard_t(3, 1200) * 0.01
-        f, fit = estimate(ReturnSeries(day_range(1200), values), est, range_policy)
-        want = fluctuation(profile(values), default_scales(1200), est)
-        assert np.array_equal(f.scales, want.scales) and np.array_equal(f.f, want.f)
-        assert f.n == 1200 and f.method == est.tag
-        n_fit = len(f.scales) if range_policy == "full" else FIT_WINDOW
+        scales, f, fit = estimate(ReturnSeries(day_range(1200), values), est, range_policy)
+        assert np.array_equal(scales, default_scales(1200))
+        assert np.array_equal(f, fluctuation(profile(values), scales, est))
+        assert f.dtype == np.float64 and not f.flags.writeable
+        n_fit = len(scales) if range_policy == "full" else FIT_WINDOW
+        assert fit == fit_power_law(f, scales, n_fit)
         assert fit.n_points == n_fit

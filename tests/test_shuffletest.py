@@ -7,7 +7,7 @@ import pytest
 
 from wfetest import shuffletest
 from wfetest.cli import main
-from wfetest.detrend import Estimator, FluctuationFunction, default_scales
+from wfetest.detrend import Estimator, default_scales
 from wfetest.errors import ConfigError, DataError, EstimationError
 from wfetest.rolling import WINDOW_CSV_HEADER
 from wfetest.scaling import fit_power_law
@@ -247,6 +247,22 @@ class TestShuffleExponents:
             )
         assert drawn == []
 
+    def test_range_snaps_to_grid(self, monkeypatch):
+        # only the grid scales inside s_range are computed and fitted
+        scales = np.arange(10, 101, 10)
+        seen = []
+        kernel = Estimator.fluctuation_matrix
+
+        def spy(est, profiles, grid_scales):
+            seen.append(np.array(grid_scales))
+            return kernel(est, profiles, grid_scales)
+
+        monkeypatch.setattr(Estimator, "fluctuation_matrix", spy)
+        args = (self.r.values, Estimator.dfa(), scales)
+        snapped, _ = shuffle_exponents(*args, (12, 47), 20, base_seed=3)
+        assert seen and all(s.tolist() == [20, 30, 40] for s in seen)
+        assert np.array_equal(snapped, shuffle_exponents(*args, (20, 40), 20, base_seed=3)[0])
+
     def test_integral_float_grid_is_the_int_grid(self):
         ensembles = [
             shuffle_exponents(self.r.values, Estimator.dfa(), grid, self.range, 20, base_seed=3)[0]
@@ -259,8 +275,11 @@ class TestShuffleExponents:
         [(np.r_[np.zeros(499), np.nan], "^series values must be finite$"),
          (np.r_[np.inf, np.zeros(499)], "^series values must be finite$"),
          (np.zeros((2, 500)), "^series must be a nonempty 1-d array$"),
-         (np.zeros(0), "^series must be a nonempty 1-d array$")],
-        ids=["nan", "inf", "2-d", "empty"],
+         (np.zeros(0), "^series must be a nonempty 1-d array$"),
+         (["a"] * 500, "^series values must be integers or floats$"),
+         ([None] * 500, "^series values must be integers or floats$"),
+         ([True] * 500, "^series values must be integers or floats$")],
+        ids=["nan", "inf", "2-d", "empty", "strings", "none", "booleans"],
     )
     def test_bad_values_fail_before_any_draw(self, monkeypatch, values, message):
         # unchecked, NaN returns end in a redraw-cap EstimationError and a
@@ -306,7 +325,8 @@ class TestShuffleExponents:
     def test_only_fitted_scales_computed(self, monkeypatch):
         scales = self.grid
         s_range = (int(scales[3]), int(scales[17]))
-        fitted = scales[(scales >= s_range[0]) & (scales <= s_range[1])]
+        in_range = (scales >= s_range[0]) & (scales <= s_range[1])
+        fitted = scales[in_range]
         seen = []
         kernel = Estimator.fluctuation_matrix
 
@@ -322,7 +342,7 @@ class TestShuffleExponents:
         # the original H and each H_s are the same fit over the same range
         perm = replicate_rng(3, 7).permutation(self.r.values)
         f = Estimator.dfa().fluctuation_matrix(profile(perm), scales)[0]
-        assert ens[7] == fit_power_law(FluctuationFunction(scales, f, "DFA", 1200), s_range).h
+        assert ens[7] == fit_power_law(f[in_range], fitted, len(fitted)).h
 
     def test_zero_outside_range_harmless(self):
         # F = 0 below the range would make a whole-grid fit degenerate

@@ -4,7 +4,6 @@ import pytest
 from wfetest.detrend import Estimator, default_scales
 from wfetest.errors import DataError
 from wfetest.scaling import fit_power_law
-from wfetest.detrend import FluctuationFunction
 from wfetest.synth import (
     FgnSpec,
     _embedding_eigenvalues,
@@ -19,8 +18,7 @@ from wfetest.timeseries import log_returns, profile
 def fitted_h(values, est=Estimator.dfa()):
     grid = default_scales(len(values))
     f = est.fluctuation_matrix(profile(values), grid)[0]
-    ff = FluctuationFunction(grid, f, est.tag, len(values))
-    return fit_power_law(ff, (int(grid[0]), int(grid[-1]))).h
+    return fit_power_law(f, grid, len(grid)).h
 
 
 class TestAutocovariance:

@@ -326,8 +326,11 @@ class TestProfile:
         "values, message",
         [([[1.0, 2.0]], "^series must be a nonempty 1-d array$"),
          ([], "^series must be a nonempty 1-d array$"),
-         ([1.0, np.nan], "^series values must be finite$")],
-        ids=["2-d", "empty", "nan"],
+         ([1.0, np.nan], "^series values must be finite$"),
+         (["a"], "^series values must be integers or floats$"),
+         ([None, 1.0], "^series values must be integers or floats$"),
+         ([True, False], "^series values must be integers or floats$")],
+        ids=["2-d", "empty", "nan", "strings", "none", "booleans"],
     )
     def test_one_finite_series_only(self, values, message):
         with pytest.raises(DataError, match=message):
