@@ -18,11 +18,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .detrend import Estimator, default_scales
-from .errors import WfeError
+from .detrend import Estimator
+from .errors import WfeError, _labelled
 from .rolling import WINDOW_CSV_HEADER, rolling_analysis
 from .scaling import RANGE_POLICIES, estimate
 from .shuffletest import (
@@ -50,18 +48,6 @@ SUBSERIES_CUTS = {
 }
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.datetime64):
-        return str(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _config_dict(args: argparse.Namespace) -> dict:
     # threads and the destination path are execution details: artifacts
     # must be byte-identical across worker counts and output locations
@@ -86,11 +72,11 @@ def _atomic_write(path: str, text: str) -> None:
 def _json_artifact(schema: str, config: dict, body: dict) -> str:
     doc = {"schema": schema, "version": __version__, "config": config}
     doc.update(body)
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_preamble(schema: str, config: dict) -> list[str]:
-    cfg = json.dumps(config, sort_keys=True, default=_json_default)
+    cfg = json.dumps(config, sort_keys=True)
     return [f"# schema: {schema}", f"# version: {__version__}", f"# config: {cfg}"]
 
 
@@ -178,8 +164,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             {
                 "method": est.tag,
                 "n_returns": len(r),
-                "scales": scales,
-                "f": f,
+                "scales": scales.tolist(),
+                "f": f.tolist(),
                 "fit": fit.to_json_dict(),
                 "relations": relations,
             },
@@ -213,37 +199,31 @@ def cmd_test(args: argparse.Namespace) -> int:
         cuts = SUBSERIES_CUTS[args.subseries]
     segments = split_by_dates(series, cuts)
 
-    # every segment's returns and grid before the first shuffle, so that
-    # a segment too short to test fails the run at once
-    prepared = []
-    for seg in segments:
-        label = f"{seg.dates[0]}..{seg.dates[-1]}"
-        try:
-            r = log_returns(seg)
-            default_scales(len(r.values))
-        except WfeError as exc:
-            raise type(exc)(f"{label}: {exc}") from exc
-        prepared.append((seg, label, r))
-
     # one pool serves every segment, sized for the longest job list
-    seg_docs = []
-    jobs = max(len(_replicate_chunks(len(r.values), args.n_shuffles))
-               for _, _, r in prepared)
+    jobs = max(len(_replicate_chunks(len(seg.prices) - 1, args.n_shuffles))
+               for seg in segments)
     with worker_map(args.threads, jobs) as pmap:
+        # every segment's fit before the first shuffle, so that a segment
+        # that cannot be tested fails the run at once
+        prepared = []
+        for seg in segments:
+            label = f"{seg.dates[0]}..{seg.dates[-1]}"
+            with _labelled(label):
+                r = log_returns(seg)
+                estimate(r, est, args.range_policy)
+            prepared.append((seg, label, r))
+        seg_docs = []
         for seg, label, r in prepared:
-            res = efficiency_test(
-                r,
-                est,
-                range_policy=args.range_policy,
-                n_replicates=args.n_shuffles,
-                seed=args.seed,
-                pmap=pmap,
-            )
+            with _labelled(label):
+                res = efficiency_test(
+                    r, est, range_policy=args.range_policy,
+                    n_replicates=args.n_shuffles, seed=args.seed, pmap=pmap,
+                )
             print(f"[{label}] {res.summary()}")
             seg_docs.append(
                 {
-                    "start": seg.dates[0],
-                    "end": seg.dates[-1],
+                    "start": str(seg.dates[0]),
+                    "end": str(seg.dates[-1]),
                     "n_returns": len(r.values),
                     "result": res.to_json_dict(args.include_ensemble),
                 }
@@ -261,22 +241,27 @@ def cmd_rolling(args: argparse.Namespace) -> int:
     series = _load(args)
     est = _estimator(args)
 
+    shown = []
+
     def report(done: int, total: int) -> None:
         if done == total or done % max(1, total // 100) == 0:
             print(f"\rwindow {done}/{total}", end="", file=sys.stderr, flush=True)
-        if done == total:
-            print(file=sys.stderr)
+            shown.append(done)
 
-    results = rolling_analysis(
-        log_returns(series),
-        window_size=args.window,
-        step=args.step,
-        est=est,
-        n_shuffles=args.n_shuffles,
-        seed=args.seed,
-        workers=args.threads,
-        progress=report,
-    )
+    try:
+        results = rolling_analysis(
+            log_returns(series),
+            window_size=args.window,
+            step=args.step,
+            est=est,
+            n_shuffles=args.n_shuffles,
+            seed=args.seed,
+            workers=args.threads,
+            progress=report,
+        )
+    finally:
+        if shown:  # end the progress line, also before an error is printed
+            print(file=sys.stderr)
     lines = _csv_preamble("wfetest/rolling-windows/v1", _config_dict(args))
     lines.append(WINDOW_CSV_HEADER)
     lines.extend(res.csv_row() for res in results)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class WfeError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +37,12 @@ class EstimationError(WfeError):
 
 class ConfigError(WfeError):
     """Invalid run configuration."""
+
+
+@contextmanager
+def _labelled(label: str):
+    """Put ``label`` in front of the message of a WfeError raised inside."""
+    try:
+        yield
+    except WfeError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .detrend import Estimator, default_scales
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, _labelled
 from .shuffletest import (
     DEFAULT_SEED,
     ShuffleTestResult,
@@ -81,18 +81,20 @@ def window_result(
     ``default_scales(len(window.values))``.  Replicate seeds depend only
     on (seed, start, replicate index), never on which other windows are
     being computed, so this reproduces the corresponding row of
-    :func:`rolling_analysis` bit-exactly.
+    :func:`rolling_analysis` bit-exactly.  A WfeError of the test names
+    the window's first and last dates.
     """
     if start < 0:
         raise ConfigError(f"window start must be >= 0, got {start}")
-    res = efficiency_test(
-        window,
-        est,
-        range_policy="auto",
-        n_replicates=n_shuffles,
-        seed=seed,
-        spawn_prefix=(start,),
-    )
+    with _labelled(f"{window.dates[0]}..{window.dates[-1]}"):
+        res = efficiency_test(
+            window,
+            est,
+            range_policy="auto",
+            n_replicates=n_shuffles,
+            seed=seed,
+            spawn_prefix=(start,),
+        )
     return WindowResult(window.dates[-1], res)
 
 

@@ -3,7 +3,8 @@
 H is the slope of an ordinary least-squares fit of ln F against ln s.
 One range rule, :func:`detect_scaling_range`, picks each row's window of
 a given number of grid points with the smallest fitting residual, ties
-going to the earliest; :func:`fit_power_law` is its one-row case.  The
+going to the earliest, and returns that window's slope and rss;
+:func:`fit_power_law` is its one-row case and adds only the stderr.  The
 ``auto`` range policy fits the paper's window of ``FIT_WINDOW`` points;
 the ``full`` range policy and a shuffle ensemble's fixed range are the
 one window of the whole grid.
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .detrend import Estimator, _check_scales, default_scales, fluctuation
-from .errors import ConfigError, DataError, DegenerateInputError, InsufficientDataError
+from .errors import ConfigError, DataError, DegenerateInputError
 from .timeseries import ReturnSeries, profile
 
 FIT_WINDOW = 15
@@ -78,35 +79,22 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slope, np.sum(resid * resid, axis=-1)
 
 
-def _in_range(scales: np.ndarray, s_range: tuple[int, int]) -> np.ndarray:
-    """Mask of the grid scales with s_lo <= s <= s_hi; at least two must be in."""
-    lo, hi = s_range
-    mask = (scales >= lo) & (scales <= hi)
-    if int(mask.sum()) < 2:
-        raise InsufficientDataError(
-            f"range [{lo}, {hi}] holds {int(mask.sum())} grid point(s); need >= 2"
-        )
-    return mask
-
-
 def fit_power_law(
     f: np.ndarray, scales: np.ndarray, window_len: int = FIT_WINDOW
 ) -> ScalingFit:
     """Fit F(s) ~ s^H, F on ``scales``, over the range rule's window.
 
-    H is the slope of :func:`detect_scaling_range` for the one row
-    ``f``; the fit adds the stderr, rss and point count.  No usable
-    window is a DegenerateInputError.
+    H and the rss are those :func:`detect_scaling_range` gives the one
+    row ``f``; the fit adds the stderr from the rss and the spread of
+    ln s over the window.  No usable window is a DegenerateInputError.
     """
-    f = np.asarray(f)
-    (lo,), _ = detect_scaling_range(f[None], scales, window_len)
+    (lo,), (slope,), (rss,) = detect_scaling_range(np.asarray(f)[None], scales, window_len)
     if lo < 0:
         raise DegenerateInputError(
             f"F(s) is 0 or not finite in every window of {window_len} grid points"
         )
     s = np.asarray(scales, dtype=np.float64)[lo : lo + window_len]
     x = np.log(s)
-    slope, rss = _ols(x, np.log(f[lo : lo + window_len]))
     sxx = np.sum((x - x.mean()) ** 2)
     stderr = np.sqrt(rss / (window_len - 2) / sxx) if window_len > 2 else 0.0
     return ScalingFit(
@@ -121,19 +109,22 @@ def fit_power_law(
 
 def detect_scaling_range(
     f_matrix: np.ndarray, scales: np.ndarray, window_len: int = FIT_WINDOW
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's window of window_len grid points with the smallest rss.
 
     The rows of ``f_matrix`` are F on ``scales``.  Returns each row's
-    window start, an index into ``scales``, and the window's slope.
-    Ties break to the earliest window.  A window that touches a
+    window start, an index into ``scales``, and the window's slope and
+    rss.  Ties break to the earliest window.  A window that touches a
     nonpositive or non-finite F never wins; a row left with none gets
-    start -1 and slope NaN.  ``scales`` gets the kernels' check with a
-    minimum of 1 and no maximum, and an ``f_matrix`` that is not 2-d
-    with one column per scale is a DataError.
+    start -1, slope NaN and rss inf.  ``scales`` gets the kernels' check
+    with a minimum of 1 and no maximum, and an ``f_matrix`` that is not
+    integer or float, or not 2-d with one column per scale, is a
+    DataError.
     """
-    scales = _check_scales(scales, np.inf, 1)
     f_matrix = np.asarray(f_matrix)
+    if f_matrix.dtype.kind not in "iuf":
+        raise DataError("f_matrix values must be integers or floats")
+    scales = _check_scales(scales, np.inf, 1)
     if f_matrix.ndim != 2 or f_matrix.shape[1] != len(scales):
         raise DataError("f_matrix must be 2-d with one column per scale")
     if window_len < 2:
@@ -151,7 +142,8 @@ def detect_scaling_range(
     rss[np.isnan(rss)] = np.inf
     best = np.argmin(rss, axis=1)
     start = np.where(np.isinf(rss.min(axis=1)), -1, best)
-    return start, slopes[np.arange(len(best)), best]
+    rows = np.arange(len(best))
+    return start, slopes[rows, best], rss[rows, best]
 
 
 def estimate(

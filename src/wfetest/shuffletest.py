@@ -41,8 +41,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .detrend import Estimator, _check_scales
-from .errors import ConfigError, DataError, EstimationError
-from .scaling import _in_range, detect_scaling_range, estimate
+from .errors import ConfigError, DataError, EstimationError, InsufficientDataError
+from .scaling import detect_scaling_range, estimate
 from .timeseries import ReturnSeries, _check_row, _readonly
 
 DEFAULT_SEED = 42
@@ -297,7 +297,9 @@ def shuffle_exponents(
     ``scales`` array that is not whole, 1-d, nonempty, strictly
     increasing and at most the series length, fails before any
     replicate is drawn; the kernel checks the method minimum.  Only the
-    grid scales inside ``s_range`` are computed.  The chunks of
+    grid scales inside the inclusive ``s_range`` are computed, and a
+    range that holds fewer than two of them is an
+    InsufficientDataError before any draw.  The chunks of
     replicates go through the ordered map ``pmap``, such as the map of a
     :func:`worker_map` block.  Returns the ensemble ordered by replicate
     index and the number of redraws used.  Degenerate (non-finite)
@@ -309,10 +311,13 @@ def shuffle_exponents(
     _check_shuffle_args(n_replicates, base_seed)
     values = _check_row(values, "series")
     scales = _check_scales(scales, len(values), 1)
-    slopes = partial(
-        _shuffled_slopes, values, est, scales[_in_range(scales, s_range)],
-        base_seed, spawn_prefix,
-    )
+    lo, hi = s_range
+    fitted = scales[(scales >= lo) & (scales <= hi)]
+    if len(fitted) < 2:
+        raise InsufficientDataError(
+            f"range [{lo}, {hi}] holds {len(fitted)} grid point(s); need >= 2"
+        )
+    slopes = partial(_shuffled_slopes, values, est, fitted, base_seed, spawn_prefix)
     jobs = _replicate_chunks(len(values), n_replicates)
     ensemble = np.concatenate(list(pmap(slopes, jobs)))
 

@@ -93,20 +93,16 @@ def generate_fgn(spec: FgnSpec) -> np.ndarray:
     return _fgn_from_draws(lam, draws)
 
 
-def synthetic_prices(
-    values: np.ndarray,
-    start_date: np.datetime64 | str = "2000-01-03",
-    p0: float = 100.0,
-) -> PriceSeries:
+def synthetic_prices(values: np.ndarray) -> PriceSeries:
     """Price series whose log returns are exactly ``values``.
 
-    Prices are p0 * exp(cumsum(values)) on consecutive calendar days, so
-    the generated series feeds the full ingestion pipeline end to end.
+    Prices are 100 * exp(cumsum(values)), with the first price 100, on
+    consecutive calendar days from 2000-01-03, so the generated series
+    feeds the full ingestion pipeline end to end.
     """
     values = np.asarray(values, dtype=np.float64)
     prices = np.empty(len(values) + 1, dtype=np.float64)
-    prices[0] = p0
-    prices[1:] = p0 * np.exp(np.cumsum(values))
-    start = np.datetime64(start_date, "D")
-    dates = start + np.arange(len(prices))
+    prices[0] = 100.0
+    prices[1:] = 100.0 * np.exp(np.cumsum(values))
+    dates = np.datetime64("2000-01-03", "D") + np.arange(len(prices))
     return PriceSeries(dates, prices)

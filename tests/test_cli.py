@@ -189,8 +189,10 @@ class TestAnalyzeCommand:
         out = tmp_path / "out.txt"
         extra = ["--n-shuffles", 10] if command == "test" else []
         assert run(command, "--range", policy, *extra, "-i", prices, "-o", out) == 1
+        # test names the segment that failed
+        label = f"{days[0]}..{days[-1]}: " if command == "test" else ""
         assert capsys.readouterr().err == (
-            f"error: F(s) is 0 or not finite in every window of {points} grid points\n"
+            f"error: {label}F(s) is 0 or not finite in every window of {points} grid points\n"
         )
         assert not out.exists()
 
@@ -267,6 +269,41 @@ class TestTestCommand:
         assert capsys.readouterr().err.startswith(
             "error: 2006-09-01..2006-11-07: series of length 67 supports 0 scales")
         assert calls == []
+        assert not out.exists()
+
+    def test_unfittable_segment_fails_before_any_shuffle(self, tmp_path, monkeypatch, capsys):
+        # prices flat from the second cut on: the last segment has no fit,
+        # and no earlier segment's ensemble is drawn
+        days = day_range(900, "2000-01-03")
+        walk = 100 * np.exp(np.cumsum(np.random.default_rng(6).normal(0, 0.01, 900)))
+        walk[600:] = walk[600]
+        prices = tmp_path / "prices.csv"
+        prices.write_text("".join(f"{d},{float(p)!r}\n" for d, p in zip(days, walk)))
+        calls = []
+        monkeypatch.setattr(shuffletest, "_shuffled_slopes", lambda *a: calls.append(a))
+        out = tmp_path / "t.json"
+        assert run("test", "-i", prices, "--cuts", f"{days[300]},{days[600]}",
+                   "--n-shuffles", 20, "-o", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {days[600]}..{days[-1]}: F(s) is 0 or not finite in every "
+            "window of 20 grid points\n")
+        assert calls == []
+        assert not out.exists()
+
+    def test_ensemble_error_names_its_segment(self, tmp_path, monkeypatch, capsys):
+        # every shuffle of the second segment (300 returns) is degenerate,
+        # so its redraws run out after the first segment's test
+        def slopes(values, est, scales, base_seed, prefix, indices):
+            return np.full(len(indices), np.nan if len(values) < 350 else 0.5)
+        monkeypatch.setattr(shuffletest, "_shuffled_slopes", slopes)
+        prices = synth_prices(tmp_path, n=700)  # 701 prices
+        days = day_range(701, "2000-01-03")
+        out = tmp_path / "t.json"
+        assert run("test", "-i", prices, "--cuts", f"{days[400]}", "--n-shuffles", 20,
+                   "-o", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {days[400]}..{days[-1]}: 1 replicate redraws exhausted the cap (1); "
+            "series is degenerate for DFA\n")
         assert not out.exists()
 
     def test_preset_cut_dates(self):
@@ -412,6 +449,24 @@ class TestRollingCommand:
         assert run("rolling", "-i", prices, "--window", 250, "--step", 120,
                    "--n-shuffles", 40, "--threads", 3, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_window_is_named(self, tmp_path, capsys, threads):
+        # returns 300-598 are 0: the window of returns 300-549 has no fit,
+        # and the progress line ends before the error
+        days = day_range(700, "2000-01-03")
+        walk = 100 * np.exp(np.cumsum(np.random.default_rng(7).normal(0, 0.01, 700)))
+        walk[300:600] = walk[300]
+        prices = tmp_path / "prices.csv"
+        prices.write_text("".join(f"{d},{float(p)!r}\n" for d, p in zip(days, walk)))
+        out = tmp_path / "roll.csv"
+        assert run("rolling", "-i", prices, "--window", 250, "--step", 50,
+                   "--n-shuffles", 20, "--threads", threads, "-o", out) == 1
+        progress = "".join(f"\rwindow {k}/9" for k in range(1, 7))
+        assert capsys.readouterr().err == (
+            f"{progress}\nerror: {days[301]}..{days[550]}: F(s) is 0 or not finite "
+            "in every window of 15 grid points\n")
+        assert not out.exists()
 
     def test_oversized_window_fails(self, tmp_path):
         prices = synth_prices(tmp_path, n=400)

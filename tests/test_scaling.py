@@ -27,13 +27,19 @@ from wfetest.timeseries import ReturnSeries, profile
 from conftest import day_range
 
 
+# unchecked, strings and None were a bare numpy TypeError, a complex F
+# gave a complex slope, and booleans were fitted to H = 0
+NON_NUMERIC_F = [["a", "b"], [None, 2.0], [1.0 + 1j, 2.0], [True, True]]
+NON_NUMERIC_IDS = ["strings", "none", "complex", "booleans"]
+
+
 def power_law_f(scales, h, amp=1.0):
     return amp * np.asarray(scales, dtype=float) ** h
 
 
 def scaling_range(f: np.ndarray, scales: np.ndarray, window_len: int):
     """(s_lo, s_hi) of the range rule's window for the one row f, or None."""
-    (start,), (slope,) = detect_scaling_range(f[None, :], scales, window_len)
+    (start,), (slope,), _ = detect_scaling_range(f[None, :], scales, window_len)
     if start < 0:
         assert np.isnan(slope)
         return None
@@ -112,6 +118,11 @@ class TestFitPowerLaw:
     def test_unpaired_input_is_data_error(self, f, scales):
         with pytest.raises(DataError):
             fit_power_law(np.array(f), np.array(scales), 2)
+
+    @pytest.mark.parametrize("f", NON_NUMERIC_F, ids=NON_NUMERIC_IDS)
+    def test_non_numeric_f_is_data_error(self, f):
+        with pytest.raises(DataError, match="^f_matrix values must be integers or floats$"):
+            fit_power_law(np.array(f), np.array([4, 8]), 2)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -229,6 +240,11 @@ class TestDetectScalingRange:
         with pytest.raises(DataError, match=message):
             detect_scaling_range(f_matrix, np.array(scales), 2)
 
+    @pytest.mark.parametrize("f", NON_NUMERIC_F, ids=NON_NUMERIC_IDS)
+    def test_non_numeric_f_is_data_error(self, f):
+        with pytest.raises(DataError, match="^f_matrix values must be integers or floats$"):
+            detect_scaling_range(np.array([f]), np.array([4, 8]), 2)
+
 
 def fit_with_h(h: float) -> ScalingFit:
     return ScalingFit(h=h, stderr=0.01, s_lo=10, s_hi=40, rss=0.2, n_points=5)
@@ -265,13 +281,13 @@ class TestBatchedRule:
         # 0 at column 4 and the NaN at column 9
         window_len = len(scales) - 3
         assert 9 < window_len
-        start, slopes = detect_scaling_range(f_matrix, scales, window_len)
+        start, slopes, _ = detect_scaling_range(f_matrix, scales, window_len)
         assert start.dtype.kind == "i"
         for i in range(6):
             if i in (1, 4):
                 assert start[i] == -1 and np.isnan(slopes[i])
                 continue
-            (one_start,), (one_slope,) = detect_scaling_range(
+            (one_start,), (one_slope,), _ = detect_scaling_range(
                 f_matrix[i : i + 1], scales, window_len
             )
             assert start[i] == one_start >= 0 and slopes[i] == one_slope
@@ -279,12 +295,33 @@ class TestBatchedRule:
             fit = fit_power_law(f_matrix[i], scales, window_len)
             assert slopes[i] == fit.h and (fit.s_lo, fit.s_hi) == (lo, hi)
 
+    @pytest.mark.parametrize(
+        "est", [Estimator.dfa(), Estimator.dfa(2), Estimator.dma(0.5)], ids=lambda e: e.tag
+    )
+    @pytest.mark.parametrize("n", [1000, 1455])
+    def test_rss_is_the_winning_windows_refit(self, est, n):
+        # the rule's rss is the one fit_power_law reports, and equals a
+        # fresh fit of the winning window alone bit for bit
+        scales = default_scales(n)
+        profiles = np.cumsum(np.random.default_rng(n).standard_normal((8, n)), axis=1)
+        f_matrix = est.fluctuation_matrix(profiles, scales)
+        f_matrix[7, ::4] = 0.0
+        for window_len in (FIT_WINDOW, len(scales)):
+            start, slopes, rss = detect_scaling_range(f_matrix, scales, window_len)
+            assert start[7] == -1 and np.isnan(slopes[7]) and rss[7] == np.inf
+            for i in range(7):
+                w = slice(start[i], start[i] + window_len)
+                slope, res = _ols(np.log(scales[w].astype(float)), np.log(f_matrix[i, w]))
+                assert (slopes[i], rss[i]) == (slope, res)
+                fit = fit_power_law(f_matrix[i], scales, window_len)
+                assert (fit.h, fit.rss) == (slopes[i], rss[i])
+
     def test_bad_window_never_wins_and_ties_go_earliest(self):
         # constant F: every window has rss exactly +0.0 unless it holds the NaN
         scales = np.arange(10, 26)
         rows = np.ones((2, len(scales)))
         rows[1, 3] = np.nan
-        start, slopes = detect_scaling_range(rows, scales, 4)
+        start, slopes, _ = detect_scaling_range(rows, scales, 4)
         assert start.tolist() == [0, 4]
         assert slopes.tolist() == [0.0, 0.0]
 
@@ -297,7 +334,7 @@ class TestOneWindow:
         rng = np.random.default_rng(8)
         scales = default_scales(2000)[3:17]
         rows = np.exp(rng.standard_normal((5, len(scales))))
-        start, slopes = detect_scaling_range(rows, scales, len(scales))
+        start, slopes, _ = detect_scaling_range(rows, scales, len(scales))
         assert start.tolist() == [0] * 5
         for i in range(5):
             fit = fit_power_law(rows[i], scales, len(scales))
@@ -313,7 +350,7 @@ class TestOneWindow:
         for lo, hi in ((0, len(scales)), (3, 18)):
             fitted = scales[lo:hi]
             f_fitted = est.fluctuation_matrix(profiles, fitted)
-            _, slopes = detect_scaling_range(f_fitted, fitted, len(fitted))
+            _, slopes, _ = detect_scaling_range(f_fitted, fitted, len(fitted))
             for i, row in enumerate(f_matrix):
                 assert slopes[i] == fit_power_law(row[lo:hi], fitted, len(fitted)).h
 
@@ -324,7 +361,7 @@ class TestOneWindow:
              [1.0, 0.0, 3.0, 4.0],
              [1.0, np.nan, 3.0, 4.0]]
         )
-        start, slopes = detect_scaling_range(rows, scales, 4)
+        start, slopes, _ = detect_scaling_range(rows, scales, 4)
         assert start.tolist() == [0, -1, -1]
         assert np.isfinite(slopes[0])
         assert np.isnan(slopes[1]) and np.isnan(slopes[2])

@@ -155,10 +155,10 @@ class TestGenerateFgn:
 class TestSyntheticPrices:
     def test_structure(self):
         values = generate_fgn(FgnSpec(n=50, hurst=0.5, seed=7, sigma=0.02))
-        series = synthetic_prices(values, start_date="2001-05-01", p0=25.0)
+        series = synthetic_prices(values)
         assert len(series) == 51
-        assert series.prices[0] == 25.0
-        assert series.dates[0] == np.datetime64("2001-05-01")
+        assert series.prices[0] == 100.0
+        assert series.dates[0] == np.datetime64("2000-01-03")
         assert np.all(np.diff(series.dates).astype(int) == 1)
 
     def test_log_returns_recover_values(self):
