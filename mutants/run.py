@@ -138,12 +138,12 @@ def _first_failure(output: str) -> str | None:
     return found.group(1) if found else None
 
 
-def run_mutant(m: Mutant, root: Path = ROOT) -> dict:
+def run_mutant(m: Mutant) -> dict:
     """Apply ``m`` in a temporary copy of the checkout and run the fast suite on it."""
     with tempfile.TemporaryDirectory(prefix="wfetest-mutant-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
-            src = root / name
+            src = ROOT / name
             if src.is_dir():
                 shutil.copytree(src, copy / name, ignore=shutil.ignore_patterns(
                     "__pycache__", "*.pyc", CATALOGUE_TEST))
