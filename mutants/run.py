@@ -100,8 +100,6 @@ MUTANTS = [
     Mutant("f-dtype-clause", "src/wfetest/scaling.py",
            '    if f_matrix.dtype.kind not in "iuf":\n'
            '        raise DataError("f_matrix values must be integers or floats")\n', ""),
-    Mutant("segment-fit-not-in-pre-pass", "src/wfetest/cli.py",
-           "                estimate(r, est, args.range_policy)\n", ""),
     Mutant("segment-label-pre-pass", "src/wfetest/cli.py",
            "            with _labelled(label):\n                r = log_returns(seg)",
            '            with _labelled("segment"):\n                r = log_returns(seg)'),
@@ -113,6 +111,15 @@ MUTANTS = [
            'with _labelled(f"{window.dates[-1]}"):'),
     Mutant("progress-line-left-open", "src/wfetest/cli.py",
            "        if shown:", "        if not shown:"),
+    # one fit per series and the output check
+    Mutant("segments-share-first-fit", "src/wfetest/cli.py",
+           "prepared.append((seg, label, r, fit))",
+           "prepared.append((seg, label, r, prepared[0][3] if prepared else fit))"),
+    Mutant("shuffles-over-whole-grid", "src/wfetest/shuffletest.py",
+           "default_scales(len(r)), (fit.s_lo, fit.s_hi),",
+           "default_scales(len(r)), (0, len(r)),"),
+    Mutant("output-not-checked", "src/wfetest/cli.py",
+           "        _check_output(args.output)\n", ""),
 ]
 
 

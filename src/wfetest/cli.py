@@ -6,14 +6,16 @@ that produced it.  Worker count is deliberately left out of the echoed
 config: it must never change the result, and artifacts are required to
 be byte-identical for any --threads value.
 
-Files are written to a temporary sibling and renamed into place, so a
-failed run never leaves a partial artifact.  Exit status is 0 exactly
-when every requested output was fully written.
+The output location is checked before any work, and files are written
+to a temporary sibling and renamed into place, so a failed run never
+leaves a partial artifact.  Exit status is 0 exactly when every
+requested output was fully written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -57,16 +59,26 @@ def _config_dict(args: argparse.Namespace) -> dict:
     }
 
 
+def _check_output(path: str) -> None:
+    """Reject an output path no run could write, before any work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        # name the output, not its temporary sibling
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json_artifact(schema: str, config: dict, body: dict) -> str:
@@ -210,13 +222,13 @@ def cmd_test(args: argparse.Namespace) -> int:
             label = f"{seg.dates[0]}..{seg.dates[-1]}"
             with _labelled(label):
                 r = log_returns(seg)
-                estimate(r, est, args.range_policy)
-            prepared.append((seg, label, r))
+                _, _, fit = estimate(r, est, args.range_policy)
+            prepared.append((seg, label, r, fit))
         seg_docs = []
-        for seg, label, r in prepared:
+        for seg, label, r, fit in prepared:
             with _labelled(label):
                 res = efficiency_test(
-                    r, est, range_policy=args.range_policy,
+                    r, est, fit,
                     n_replicates=args.n_shuffles, seed=args.seed, pmap=pmap,
                 )
             print(f"[{label}] {res.summary()}")
@@ -396,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output(args.output)
         return args.func(args)
     except (WfeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

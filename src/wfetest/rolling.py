@@ -25,6 +25,7 @@ import numpy as np
 
 from .detrend import Estimator, default_scales
 from .errors import ConfigError, InsufficientDataError, _labelled
+from .scaling import estimate
 from .shuffletest import (
     DEFAULT_SEED,
     ShuffleTestResult,
@@ -87,10 +88,11 @@ def window_result(
     if start < 0:
         raise ConfigError(f"window start must be >= 0, got {start}")
     with _labelled(f"{window.dates[0]}..{window.dates[-1]}"):
+        _, _, fit = estimate(window, est, "auto")
         res = efficiency_test(
             window,
             est,
-            range_policy="auto",
+            fit,
             n_replicates=n_shuffles,
             seed=seed,
             spawn_prefix=(start,),

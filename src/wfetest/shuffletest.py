@@ -40,9 +40,9 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .detrend import Estimator, _check_scales
+from .detrend import Estimator, _check_scales, default_scales
 from .errors import ConfigError, DataError, EstimationError, InsufficientDataError
-from .scaling import detect_scaling_range, estimate
+from .scaling import ScalingFit, detect_scaling_range
 from .timeseries import ReturnSeries, _check_row, _readonly
 
 DEFAULT_SEED = 42
@@ -339,27 +339,23 @@ def shuffle_exponents(
 def efficiency_test(
     r: ReturnSeries,
     est: Estimator,
-    range_policy: str = "full",
+    fit: ScalingFit,
     n_replicates: int = 10000,
     seed: int = DEFAULT_SEED,
     pmap: Callable[..., Iterator] = map,
     spawn_prefix: tuple[int, ...] = (),
 ) -> ShuffleTestResult:
-    """Estimate H, build the shuffle ensemble, and test the null H = <H_s>.
+    """Build the shuffle ensemble of a fitted series and test the null H = <H_s>.
 
-    H is fitted by :func:`estimate` on ``default_scales`` of the series
-    length.  ``range_policy`` is ``"full"`` (fit the whole grid, the
-    default for whole-series runs) or ``"auto"`` (minimal-residual
-    window of ``FIT_WINDOW`` grid points).  Shuffled replicates always
-    reuse the original series' scaling range, and the ensemble is mapped
-    with ``pmap`` as in :func:`shuffle_exponents`.  A bad replicate count
-    or seed fails before anything is estimated.
+    ``fit`` is the fit :func:`estimate` returned for ``r`` and ``est``;
+    it alone decides the scaling range, and its H is the statistic.
+    Shuffled replicates are fitted over that same range of
+    ``default_scales`` of the series length, and the ensemble is mapped
+    with ``pmap`` as in :func:`shuffle_exponents`, which rejects a bad
+    replicate count or seed before any replicate is drawn.
     """
-    _check_shuffle_args(n_replicates, seed)
-    scales, _, fit = estimate(r, est, range_policy)
-
     ensemble, n_redraws = shuffle_exponents(
-        r.values, est, scales, (fit.s_lo, fit.s_hi), n_replicates,
+        r.values, est, default_scales(len(r)), (fit.s_lo, fit.s_hi), n_replicates,
         seed, spawn_prefix, pmap,
     )
     return ShuffleTestResult(

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 
 import wfetest
+from wfetest.scaling import estimate
+from wfetest.shuffletest import efficiency_test
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # the directory holding the wfetest package this suite imported
@@ -30,6 +32,11 @@ def wti_csv_path() -> Path | None:
 def day_range(n: int, start: str = "1990-01-03") -> np.ndarray:
     first = np.datetime64(start, "D")
     return np.arange(first, first + n)
+
+
+def shuffle_test(r, est, range_policy="full", **kwargs):
+    """``efficiency_test`` of ``r`` on the fit ``estimate(r, est, range_policy)`` returns."""
+    return efficiency_test(r, est, estimate(r, est, range_policy)[2], **kwargs)
 
 
 def child_env(bin_dir: Path | None = None) -> dict[str, str]:

@@ -8,13 +8,12 @@ futures file described in data/README.md and skip when it is absent.
 import numpy as np
 import pytest
 
-from conftest import WTI_SKIP_REASON, day_range, wti_csv_path
+from conftest import WTI_SKIP_REASON, day_range, shuffle_test, wti_csv_path
 from wfetest.cli import main
 from wfetest.detrend import Estimator, default_scales, fluctuation
 from wfetest.rolling import WindowResult, rolling_analysis
 from wfetest.scaling import fit_power_law
 from wfetest.shuffletest import (
-    efficiency_test,
     shuffle_exponents,
     two_tailed_p,
     worker_map,
@@ -135,7 +134,7 @@ def test_criterion_5_reference_exponents_and_verdicts():
     problems = []
     for idx, seg in enumerate(segments):  # 0 = whole series
         for name, est in methods.items():
-            res = efficiency_test(seg, est, n_replicates=10_000, seed=42)
+            res = shuffle_test(seg, est, n_replicates=10_000, seed=42)
             if idx == 0 and abs(res.h - expected_whole[name]) > 0.02:
                 problems.append(
                     f"whole {name} H={res.h:.3f} vs {expected_whole[name]}"
@@ -199,7 +198,7 @@ def test_real_data_call_sequence_on_synthetic_stand_in():
         for before, cut, after in zip(parts, cuts, parts[1:]):
             assert before.dates[-1] < cut <= after.dates[0]
     for seg in segments:
-        res = efficiency_test(seg, DFA, n_replicates=20, seed=42)
+        res = shuffle_test(seg, DFA, n_replicates=20, seed=42)
         assert np.isfinite(res.h) and 0.0 <= res.p <= 1.0
 
     step = 2000
@@ -221,7 +220,7 @@ def test_criterion_7_size_calibration_on_iid_noise():
         for seed in range(50):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
             r = ReturnSeries(day_range(4096), rng.standard_normal(4096))
-            res = efficiency_test(r, DFA, n_replicates=1000, seed=42, pmap=pmap)
+            res = shuffle_test(r, DFA, n_replicates=1000, seed=42, pmap=pmap)
             rejections += res.rejected
     report(7, rejections <= 3, f"{rejections}/50 null rejections at 0.01")
 

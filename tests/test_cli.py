@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, SAMPLE_PRICES, child_env, day_range
-from wfetest import cli, shuffletest
+from wfetest import cli, scaling, shuffletest
 from wfetest.cli import SUBSERIES_CUTS, main
 from wfetest.detrend import Estimator
 from wfetest.timeseries import GULF_WAR, IRAQ_WAR, NAFTA
@@ -146,12 +146,40 @@ class TestAnalyzeCommand:
         assert err.startswith("error: input is not UTF-8 text")
         assert "Traceback" not in err
 
-    def test_unwritable_output_fails_cleanly(self, tmp_path):
+    @pytest.mark.parametrize("command", ["analyze", "test", "rolling", "synth"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, where):
+        # the output location is checked before any estimate or draw
         prices = synth_prices(tmp_path, n=400)
-        missing_dir = tmp_path / "no" / "such" / "dir"
-        assert run("analyze", "-i", prices, "-o", missing_dir / "a.csv") == 1
-        assert not missing_dir.exists()
-        assert not list(tmp_path.glob("*.tmp.*"))
+        capsys.readouterr()
+        computed = []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix", lambda *a: computed.append(a))
+        monkeypatch.setattr(cli, "generate_fgn", lambda *a: computed.append(a))
+        out = tmp_path / "t.json"
+        if where == "missing-dir":
+            out = tmp_path / "no" / "such" / "dir" / "t.json"
+        else:
+            out.mkdir()
+        options = {
+            "analyze": ["-i", prices],
+            "test": ["-i", prices, "--n-shuffles", 10],
+            "rolling": ["-i", prices, "--window", 250, "--n-shuffles", 10],
+            "synth": ["--hurst", 0.5],
+        }[command]
+        assert run(command, *options, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and f"'{out}'" in err and ".tmp." not in err
+        assert computed == []
+        assert not (tmp_path / "no").exists()
+        assert not list(tmp_path.rglob("*.tmp.*"))
+
+    def test_write_error_names_the_output(self, tmp_path):
+        out = tmp_path / "gone" / "t.json"
+        with pytest.raises(FileNotFoundError) as exc:
+            cli._atomic_write(str(out), "x")
+        assert exc.value.filename == str(out)
+        assert ".tmp." not in str(exc.value)
+        assert not (tmp_path / "gone").exists()
 
     @pytest.mark.parametrize("command, option, value", [
         # analyze runs no shuffles, so it has no workers to cap and draws nothing
@@ -305,6 +333,16 @@ class TestTestCommand:
             f"error: {days[400]}..{days[-1]}: 1 replicate redraws exhausted the cap (1); "
             "series is degenerate for DFA\n")
         assert not out.exists()
+
+    def test_every_segment_fitted_once(self, tmp_path, monkeypatch):
+        fits = []
+        fit_power_law = scaling.fit_power_law
+        monkeypatch.setattr(scaling, "fit_power_law",
+                            lambda *a: fits.append(a) or fit_power_law(*a))
+        prices = synth_prices(tmp_path, n=900)  # spans 2000-01..2002-06
+        assert run("test", "-i", prices, "--n-shuffles", 20,
+                   "--cuts", "2000-10-01,2001-08-01", "-o", tmp_path / "t.json") == 0
+        assert len(fits) == 3
 
     def test_preset_cut_dates(self):
         assert SUBSERIES_CUTS["whole"] == ()
@@ -467,6 +505,16 @@ class TestRollingCommand:
             f"{progress}\nerror: {days[301]}..{days[550]}: F(s) is 0 or not finite "
             "in every window of 15 grid points\n")
         assert not out.exists()
+
+    def test_every_window_fitted_once(self, tmp_path, monkeypatch):
+        fits = []
+        fit_power_law = scaling.fit_power_law
+        monkeypatch.setattr(scaling, "fit_power_law",
+                            lambda *a: fits.append(a) or fit_power_law(*a))
+        prices = synth_prices(tmp_path, n=700)
+        assert run("rolling", "-i", prices, "--window", 250, "--step", 150,
+                   "--n-shuffles", 20, "-o", tmp_path / "roll.csv") == 0
+        assert len(fits) == (700 - 250) // 150 + 1
 
     def test_oversized_window_fails(self, tmp_path):
         prices = synth_prices(tmp_path, n=400)

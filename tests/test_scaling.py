@@ -389,3 +389,12 @@ class TestEstimate:
         n_fit = len(scales) if range_policy == "full" else FIT_WINDOW
         assert fit == fit_power_law(f, scales, n_fit)
         assert fit.n_points == n_fit
+
+    def test_unknown_policy_rejected(self, monkeypatch):
+        computed = []
+        monkeypatch.setattr(Estimator, "fluctuation_matrix",
+                            lambda *a: computed.append(a))
+        r = ReturnSeries(day_range(800), np.random.default_rng(3).standard_normal(800))
+        with pytest.raises(DataError, match=r"^range_policy must be one of \('full', 'auto'\)$"):
+            estimate(r, Estimator.dfa(), "best")
+        assert computed == []

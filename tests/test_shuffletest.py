@@ -10,7 +10,7 @@ from wfetest.cli import main
 from wfetest.detrend import Estimator, default_scales
 from wfetest.errors import ConfigError, DataError, EstimationError
 from wfetest.rolling import WINDOW_CSV_HEADER
-from wfetest.scaling import fit_power_law
+from wfetest.scaling import estimate, fit_power_law
 from wfetest.shuffletest import (
     DEFAULT_SEED,
     SIGNIFICANCE_LEVEL,
@@ -27,7 +27,7 @@ from wfetest.shuffletest import (
 from wfetest.synth import FgnSpec, generate_fgn
 from wfetest.timeseries import ReturnSeries, profile
 
-from conftest import SAMPLE_PRICES, day_range
+from conftest import SAMPLE_PRICES, day_range, shuffle_test
 
 
 def make_returns(n=1500, hurst=0.5, seed=11):
@@ -307,20 +307,21 @@ class TestShuffleExponents:
                 self.range, 10, base_seed=-1,
             )
         with pytest.raises(ConfigError, match="seed must be >= 0"):
-            efficiency_test(self.r, Estimator.dfa(), n_replicates=10, seed=-5)
+            shuffle_test(self.r, Estimator.dfa(), n_replicates=10, seed=-5)
 
     @pytest.mark.parametrize(
         "n_replicates, seed, message",
         [(0, 1, "n_shuffles must be >= 1, got 0"), (10, -1, "seed must be >= 0, got -1")],
     )
-    def test_efficiency_test_checks_arguments_before_estimating(
+    def test_efficiency_test_checks_arguments_before_any_draw(
         self, monkeypatch, n_replicates, seed, message
     ):
-        computed = []
-        monkeypatch.setattr(Estimator, "fluctuation_matrix", lambda *a: computed.append(a))
+        _, _, fit = estimate(self.r, Estimator.dfa())
+        drawn = []
+        monkeypatch.setattr(shuffletest, "_replicate_rngs", lambda *a: drawn.append(a))
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            efficiency_test(self.r, Estimator.dfa(), n_replicates=n_replicates, seed=seed)
-        assert computed == []
+            efficiency_test(self.r, Estimator.dfa(), fit, n_replicates=n_replicates, seed=seed)
+        assert drawn == []
 
     def test_only_fitted_scales_computed(self, monkeypatch):
         scales = self.grid
@@ -364,7 +365,7 @@ class TestShuffleExponents:
 class TestEfficiencyTest:
     def test_full_range_policy_uses_grid_ends(self):
         r = make_returns(1500)
-        res = efficiency_test(r, Estimator.dfa(), n_replicates=60, seed=3)
+        res = shuffle_test(r, Estimator.dfa(), n_replicates=60, seed=3)
         grid = default_scales(1500)
         assert res.s_lo == int(grid[0])
         assert res.s_hi == int(grid[-1])
@@ -373,39 +374,44 @@ class TestEfficiencyTest:
 
     def test_auto_range_policy_selects_window(self):
         r = make_returns(1500)
-        res = efficiency_test(
+        res = shuffle_test(
             r, Estimator.dfa(), range_policy="auto", n_replicates=30, seed=3
         )
         grid = default_scales(1500)
         count = int(np.sum((grid >= res.s_lo) & (grid <= res.s_hi)))
         assert count == 15
 
-    def test_unknown_policy_rejected(self, monkeypatch):
-        computed = []
-        monkeypatch.setattr(Estimator, "fluctuation_matrix",
-                            lambda *a: computed.append(a))
-        with pytest.raises(DataError, match=r"^range_policy must be one of \('full', 'auto'\)$"):
-            efficiency_test(make_returns(800), Estimator.dfa(), range_policy="best")
-        assert computed == []
+    @pytest.mark.parametrize("est", [Estimator.dfa(), Estimator.dma(0.5)], ids=lambda e: e.tag)
+    def test_takes_the_fit(self, est):
+        # H and the range are the given fit's, and the shuffles are
+        # fitted over that range of the series' grid
+        r = make_returns(1500)
+        _, _, fit = estimate(r, est, "auto")
+        res = efficiency_test(r, est, fit, n_replicates=40, seed=3)
+        assert (res.h, res.s_lo, res.s_hi) == (fit.h, fit.s_lo, fit.s_hi)
+        ensemble, _ = shuffle_exponents(
+            r.values, est, default_scales(1500), (fit.s_lo, fit.s_hi), 40, base_seed=3
+        )
+        assert np.array_equal(res.ensemble, ensemble)
 
     def test_single_replicate_p_is_zero_or_one(self):
         r = make_returns(900)
-        res = efficiency_test(r, Estimator.dfa(), n_replicates=1, seed=4)
+        res = shuffle_test(r, Estimator.dfa(), n_replicates=1, seed=4)
         assert res.p in (0.0, 1.0)
         assert res.q025 == res.q975 == res.mean_hs
 
     def test_determinism_and_seed_sensitivity(self):
         r = make_returns(1000)
-        a = efficiency_test(r, Estimator.dma(0.0), n_replicates=50, seed=5)
-        b = efficiency_test(r, Estimator.dma(0.0), n_replicates=50, seed=5)
-        c = efficiency_test(r, Estimator.dma(0.0), n_replicates=50, seed=6)
+        a = shuffle_test(r, Estimator.dma(0.0), n_replicates=50, seed=5)
+        b = shuffle_test(r, Estimator.dma(0.0), n_replicates=50, seed=5)
+        c = shuffle_test(r, Estimator.dma(0.0), n_replicates=50, seed=6)
         assert a.to_json_dict(include_ensemble=True) == b.to_json_dict(
             include_ensemble=True
         )
         assert not np.array_equal(a.ensemble, c.ensemble)
 
     def test_null_data_not_rejected(self):
-        res = efficiency_test(
+        res = shuffle_test(
             make_returns(2048, seed=14), Estimator.dfa(),
             n_replicates=300, seed=7,
         )
@@ -414,7 +420,7 @@ class TestEfficiencyTest:
         assert res.verdict == "not rejected"
 
     def test_strong_memory_rejected(self):
-        res = efficiency_test(
+        res = shuffle_test(
             make_returns(4096, hurst=0.85, seed=14), Estimator.dfa(),
             n_replicates=400, seed=7,
         )
@@ -422,7 +428,7 @@ class TestEfficiencyTest:
         assert res.rejected
 
     def test_summary_line(self):
-        res = efficiency_test(make_returns(900), Estimator.dma(0.5),
+        res = shuffle_test(make_returns(900), Estimator.dma(0.5),
                               n_replicates=25, seed=2)
         line = res.summary()
         assert line.startswith("CDMA: H=")
@@ -446,7 +452,7 @@ def metamorphic_test(est, range_policy, transform=None):
     values = generate_fgn(FgnSpec(n=1500, hurst=0.5, sigma=0.02, seed=3))
     if transform is not None:
         values = RETURN_TRANSFORMS[transform](values)
-    return efficiency_test(
+    return shuffle_test(
         ReturnSeries(day_range(1500), values), est, range_policy, n_replicates=300
     )
 
