@@ -120,6 +120,16 @@ MUTANTS = [
            "default_scales(len(r)), (0, len(r)),"),
     Mutant("output-not-checked", "src/wfetest/cli.py",
            "        _check_output(args.output)\n", ""),
+    # the residual projector of small DFA boxes
+    Mutant("projector-without-identity", "src/wfetest/detrend.py",
+           "proj = np.eye(s) - design @ pinv_t.T", "proj = -design @ pinv_t.T"),
+    Mutant("projector-cutoff-reversed", "src/wfetest/detrend.py",
+           "if s <= _PROJECTOR_MAX_S:", "if s > _PROJECTOR_MAX_S:"),
+    Mutant("projector-cutoff-exclusive", "src/wfetest/detrend.py",
+           "if s <= _PROJECTOR_MAX_S:", "if s < _PROJECTOR_MAX_S:"),
+    # the grid without np.unique
+    Mutant("grid-keeps-repeats", "src/wfetest/detrend.py",
+           "np.diff(rounded, prepend=0) > 0", "np.diff(rounded, prepend=0) >= 0"),
 ]
 
 

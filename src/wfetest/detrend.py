@@ -22,11 +22,15 @@ boxes of length s, covering the series once from the first point and
 once from the last point backward; every box's residuals enter the RMS,
 so points covered twice contribute twice.  When s divides n both covers
 are the same boxes, so they are detrended once and counted twice.  The
-boxes are reshaped views of the profile, detrended against a per-(s,
-order) basis that is built once per process.  The rows go through in
-cache-sized blocks, and each block runs through every scale and cover
-while it is in cache, in residual and coefficient buffers allocated
-once per call.
+boxes are reshaped views of the profile, detrended with per-(s, order)
+operators that are built once per process.  A box of at most
+_PROJECTOR_MAX_S points gets its residuals from one GEMM with the
+residual projector P = I - X X+ of its design matrix X; a longer box is
+fitted through the pseudo-inverse and its fit subtracted.  Both forms
+compute the explicit residual, never a difference of box moments.  The
+rows go through in cache-sized blocks, and each block runs through every
+scale and cover while it is in cache, in residual and coefficient
+buffers allocated once per call.
 
 Both kernels reduce their residuals the same way: each row's residuals
 for a scale (one DMA pass, or one DFA cover) are summed as squares by
@@ -69,6 +73,14 @@ DMA_MIN_SCALE = 3
 # since DMA keeps six float64 arrays of a block's size (about 1.5 MB),
 # which measured best of 2^14 to 2^16 cells at n = 1,000 to 7,400.
 BLOCK_CELLS = 1 << 16
+
+# DFA boxes of at most this many points are detrended as ``boxes @ P``:
+# one GEMM that contracts s values per cell, against two skinny GEMMs
+# (contracting s, then order + 1) and a subtract.  Forming the residuals
+# alone, at n = 1,000 and 7,400 and orders 1 and 2, P was 2.5-4x as fast
+# at s <= 16 and 1.1-2.5x at s = 18-32; at s = 33 it was already 0.9x for
+# DFA-1 at n = 7,400, and from s = 45 on it lost in every case.
+_PROJECTOR_MAX_S = 32
 
 # A row's sum of squares is taken as BLAS dots of at most this many
 # values, added in order.  OpenBLAS splits a dot of more than 10,000
@@ -133,9 +145,10 @@ def default_scales(n: int) -> np.ndarray:
     decades = math.log10(s_max / 10.0)
     num = max(math.ceil(_POINTS_PER_DECADE * decades) + 1, MIN_GRID_POINTS)
     while True:
-        scales = np.unique(
-            np.round(np.logspace(1.0, math.log10(s_max), num)).astype(np.int64)
-        )
+        rounded = np.round(np.logspace(1.0, math.log10(s_max), num)).astype(np.int64)
+        # the rounded logspace never decreases, so dropping repeats of the
+        # predecessor leaves its distinct values (np.unique would import numpy.ma)
+        scales = rounded[np.diff(rounded, prepend=0) > 0]
         if len(scales) >= MIN_GRID_POINTS:
             return _readonly(scales, np.int64)
         # terminates: a dense enough logspace rounds onto every integer in range
@@ -243,13 +256,30 @@ def _dfa_basis(s: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return design, pinv_t
 
 
+@lru_cache(maxsize=256)
+def _dfa_projector(s: int, order: int) -> np.ndarray:
+    """Read-only residual projector I - X X+ of a box of length s, from :func:`_dfa_basis`."""
+    design, pinv_t = _dfa_basis(s, order)
+    proj = np.eye(s) - design @ pinv_t.T
+    proj.setflags(write=False)
+    return proj
+
+
 def dfa_fluctuation_matrix(
     profiles: np.ndarray, scales: np.ndarray, order: int
 ) -> np.ndarray:
     """F(s) for each profile row; returns shape (rows, len(scales)).
 
-    Each box's fit is ``boxes @ pinv_t @ design.T`` with the cached
-    :func:`_dfa_basis` of (s, order).  A cover's k boxes of residuals lie
+    A box of s <= _PROJECTOR_MAX_S points has the residuals
+    ``boxes @ P``, with the cached :func:`_dfa_projector` of (s, order);
+    a longer box has ``boxes - boxes @ pinv_t @ design.T``, with the
+    cached :func:`_dfa_basis`.  The cutoff is where a sweep of the two
+    forms crossed over (see ``_PROJECTOR_MAX_S``): the projector does s
+    multiply-adds per residual, so its cost per cell grows with s, while
+    the fit does 2 * (order + 1) and its per-call overhead shrinks per
+    cell as s grows.  Both forms give each box's residuals from that box
+    alone, and the same s always takes the same form, so a row's F still
+    never depends on its neighbours.  A cover's k boxes of residuals lie
     flat in each row, so their sum of squares is one
     :func:`_row_sum_squares` of the (m, k * s) residuals, and a row's
     total is that of the forward cover plus that of the backward one.
@@ -259,9 +289,9 @@ def dfa_fluctuation_matrix(
     The rows go through in blocks of ``BLOCK_CELLS // n``, and each block
     runs through every scale and cover while it is in cache, so the
     profiles are read from memory once rather than once per scale and
-    cover.  The per-scale plan (s, k, cover starts, basis) and two flat
-    buffers are made once per call; for a block of m rows, each scale
-    views them as its (m, k, s) residuals and (m, k, order + 1) fit
+    cover.  The per-scale plan (s, k, cover starts, operators) and two
+    flat buffers are made once per call; for a block of m rows, each
+    scale views them as its (m, k, s) residuals and (m, k, order + 1) fit
     coefficients.
     """
     if order < 1:
@@ -273,9 +303,12 @@ def dfa_fluctuation_matrix(
     plan = []
     for s in map(int, scales):
         k = n // s
-        design, pinv_t = _dfa_basis(s, order)
         starts = (0,) if k * s == n else (0, n - k * s)
-        plan.append((s, k, starts, pinv_t, design.T))
+        if s <= _PROJECTOR_MAX_S:
+            plan.append((s, k, starts, _dfa_projector(s, order), None, None))
+        else:
+            design, pinv_t = _dfa_basis(s, order)
+            plan.append((s, k, starts, None, pinv_t, design.T))
     k_max = max(k for _, k, *_ in plan)
     block = max(1, BLOCK_CELLS // n)
     # flat buffers, viewed per scale as (m, k, s) and (m, k, order + 1)
@@ -286,15 +319,18 @@ def dfa_fluctuation_matrix(
     for r0 in range(0, rows, block):
         part = profiles[r0 : r0 + block]
         m = len(part)
-        for j, (s, k, starts, pinv_t, design_t) in enumerate(plan):
+        for j, (s, k, starts, proj, pinv_t, design_t) in enumerate(plan):
             res = res_buf[: m * k * s].reshape(m, k, s)
             coef = coef_buf[: m * k * (order + 1)].reshape(m, k, order + 1)
             total = 0.0
             for start in starts:
                 boxes = part[:, start : start + k * s].reshape(m, k, s)
-                np.matmul(boxes, pinv_t, out=coef)
-                np.matmul(coef, design_t, out=res)
-                np.subtract(boxes, res, out=res)
+                if proj is not None:
+                    np.matmul(boxes, proj, out=res)
+                else:
+                    np.matmul(boxes, pinv_t, out=coef)
+                    np.matmul(coef, design_t, out=res)
+                    np.subtract(boxes, res, out=res)
                 total += _row_sum_squares(res.reshape(m, k * s))
             if len(starts) == 1:
                 total *= 2
