@@ -130,6 +130,19 @@ MUTANTS = [
     # the grid without np.unique
     Mutant("grid-keeps-repeats", "src/wfetest/detrend.py",
            "np.diff(rounded, prepend=0) > 0", "np.diff(rounded, prepend=0) >= 0"),
+    # one check per estimator parameter, the estimator before the input,
+    # and the shuffle arguments' own checks
+    Mutant("dma-theta-unchecked", "src/wfetest/detrend.py",
+           "    _check_theta(theta)\n", ""),
+    Mutant("order-integer-clause", "src/wfetest/detrend.py",
+           "    if not isinstance(order, Integral):\n"
+           '        raise DataError(f"dfa order must be an integer, got {order!r}")\n', ""),
+    Mutant("test-estimator-after-load", "src/wfetest/cli.py",
+           "    est = _estimator(args)\n    series = _load(args)\n    args.subseries",
+           "    series = _load(args)\n    est = _estimator(args)\n    args.subseries"),
+    Mutant("s-range-pair-unchecked", "src/wfetest/shuffletest.py",
+           '    if np.shape(s_range) != (2,) or np.asarray(s_range).dtype.kind not in "iuf":\n'
+           '        raise DataError(f"s_range must be a pair of numbers, got {s_range!r}")\n', ""),
 ]
 
 

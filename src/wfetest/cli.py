@@ -109,61 +109,9 @@ def _load(args: argparse.Namespace) -> PriceSeries:
     return loaded.series
 
 
-def _add_input_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", "-i", required=True, help="price CSV (date,price)")
-
-
-def _add_method_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--method",
-        choices=("dfa", "dma"),
-        default="dfa",
-        help="scaling estimator (default dfa)",
-    )
-    sub.add_argument(
-        "--order", type=int, default=1, help="dfa detrending order (default 1)"
-    )
-    sub.add_argument(
-        "--theta",
-        type=float,
-        default=0.0,
-        help="dma window position: 0 backward, 0.5 centered, 1 forward "
-        "(default 0)",
-    )
-
-
-def _add_range_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--range",
-        dest="range_policy",
-        choices=RANGE_POLICIES,
-        default="full",
-        help="scaling range: whole grid or minimal-residual window (default full)",
-    )
-
-
-def _add_output_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--output", "-o", required=True, help="artifact path")
-
-
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"base random seed (default {DEFAULT_SEED})",
-    )
-    _add_output_option(sub)
-
-
-def _add_threads_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="worker process cap; never affects results (default 1)",
-    )
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    series = _load(args)
     est = _estimator(args)
+    series = _load(args)
     r = log_returns(series)
     scales, f, fit = estimate(r, est, args.range_policy)
     relations = {"eta": fit.eta, "gamma": fit.gamma}
@@ -202,8 +150,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     _check_shuffle_args(args.n_shuffles, args.seed)
-    series = _load(args)
     est = _estimator(args)
+    series = _load(args)
     args.subseries = args.subseries or "whole"  # echoed in the config
     if args.cuts is not None:
         cuts = tuple(part.strip() for part in args.cuts.split(","))
@@ -250,8 +198,8 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_rolling(args: argparse.Namespace) -> int:
-    series = _load(args)
     est = _estimator(args)
+    series = _load(args)
 
     shown = []
 
@@ -314,16 +262,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser(
-        "analyze", help="fluctuation function and scaling exponent"
+    # option groups shared by several subcommands, each declared once; a
+    # subcommand lists its groups as parents.  Parents share their Action
+    # objects, so no subcommand may set_defaults an option of a group.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o", required=True, help="artifact path")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[output])
+    seeded.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help=f"base random seed (default {DEFAULT_SEED})",
     )
-    _add_input_option(p)
-    _add_method_options(p)
-    _add_range_options(p)
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--input", "-i", required=True, help="price CSV (date,price)")
+    series.add_argument(
+        "--method",
+        choices=("dfa", "dma"),
+        default="dfa",
+        help="scaling estimator (default dfa)",
+    )
+    series.add_argument(
+        "--order", type=int, default=1, help="dfa detrending order (default 1)"
+    )
+    series.add_argument(
+        "--theta",
+        type=float,
+        default=0.0,
+        help="dma window position: 0 backward, 0.5 centered, 1 forward "
+        "(default 0)",
+    )
+    fit_range = argparse.ArgumentParser(add_help=False)
+    fit_range.add_argument(
+        "--range",
+        dest="range_policy",
+        choices=RANGE_POLICIES,
+        default="full",
+        help="scaling range: whole grid or minimal-residual window (default full)",
+    )
+    shuffles = argparse.ArgumentParser(add_help=False, parents=[series, seeded])
+    shuffles.add_argument(
+        "--threads", type=int, default=1,
+        help="worker process cap; never affects results (default 1)",
+    )
+
+    subs = parser.add_subparsers(dest="subcommand", required=True)
     # analyze draws nothing, so it takes no seed
-    _add_output_option(p)
+    p = subs.add_parser(
+        "analyze", parents=[series, fit_range, output],
+        help="fluctuation function and scaling exponent",
+    )
     p.add_argument(
         "--format", choices=("csv", "json"), default="csv",
         help="artifact format (default csv)",
@@ -331,13 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser(
-        "test", help="shuffle test on the whole series or preset segments"
+        "test", parents=[shuffles, fit_range],
+        help="shuffle test on the whole series or preset segments",
     )
-    _add_input_option(p)
-    _add_method_options(p)
-    _add_range_options(p)
-    _add_common_options(p)
-    _add_threads_option(p)
     p.add_argument(
         "--n-shuffles", type=int, default=10000,
         help="shuffle replicates per segment (default 10000)",
@@ -364,12 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_test)
 
     p = subs.add_parser(
-        "rolling", help="windowed exponents with shuffle quantile bands"
+        "rolling", parents=[shuffles],
+        help="windowed exponents with shuffle quantile bands",
     )
-    _add_input_option(p)
-    _add_method_options(p)
-    _add_common_options(p)
-    _add_threads_option(p)
     p.add_argument(
         "--window", type=int, default=1000,
         help="returns per window (default 1000)",
@@ -384,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rolling)
 
     p = subs.add_parser(
-        "synth", help="exact fractional Gaussian noise, values or prices"
+        "synth", parents=[seeded],
+        help="exact fractional Gaussian noise, values or prices",
     )
     p.add_argument(
         "--hurst", type=float, required=True, help="target exponent in (0, 1)"
@@ -400,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit an exponentiated-cumulative-sum price series instead "
         "of raw values",
     )
-    _add_common_options(p)
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -3,7 +3,9 @@
 Both detrenders consume a profile, a plain float64 array (cumulative
 sum of demeaned increments), and produce the root-mean-square detrended
 residual F(s) over a grid of whole box sizes s, an int64 array; every
-kernel call checks its grid once, in :func:`_check_scales`.
+kernel call checks its grid once, in :func:`_check_scales`, and its
+theta or order in :func:`_check_theta` or :func:`_check_order`, the
+checks :class:`Estimator` runs too.
 
 DMA subtracts a moving average of span s whose placement is set by the
 position parameter theta in [0, 1]: the window at index i covers
@@ -51,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -100,10 +103,10 @@ class Estimator:
     def __post_init__(self):
         if self.kind not in ("dma", "dfa"):
             raise DataError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "dma" and not 0.0 <= self.theta <= 1.0:
-            raise DataError(f"theta must be in [0, 1], got {self.theta}")
-        if self.kind == "dfa" and self.order < 1:
-            raise DataError(f"dfa order must be >= 1, got {self.order}")
+        if self.kind == "dma":
+            _check_theta(self.theta)
+        else:
+            _check_order(self.order)
 
     @classmethod
     def dma(cls, theta: float) -> "Estimator":
@@ -124,6 +127,22 @@ class Estimator:
         if self.kind == "dma":
             return dma_fluctuation_matrix(profiles, scales, self.theta)
         return dfa_fluctuation_matrix(profiles, scales, self.order)
+
+
+def _check_theta(theta) -> None:
+    """A DataError unless theta is a real number in [0, 1]."""
+    if not isinstance(theta, Real):
+        raise DataError(f"theta must be a real number, got {theta!r}")
+    if not 0.0 <= theta <= 1.0:
+        raise DataError(f"theta must be in [0, 1], got {theta}")
+
+
+def _check_order(order) -> None:
+    """A DataError unless order is an integer of at least 1."""
+    if not isinstance(order, Integral):
+        raise DataError(f"dfa order must be an integer, got {order!r}")
+    if order < 1:
+        raise DataError(f"dfa order must be >= 1, got {order}")
 
 
 def default_scales(n: int) -> np.ndarray:
@@ -195,6 +214,7 @@ def dma_fluctuation_matrix(
     noise, its CDMA F is 6.5e-9 off an extended-precision reference,
     against 1.5e-11 for this kernel (``tests/test_detrend.py``).
     """
+    _check_theta(theta)
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
     rows, n = profiles.shape
     scales = _check_scales(scales, n, DMA_MIN_SCALE)
@@ -294,8 +314,7 @@ def dfa_fluctuation_matrix(
     scale views them as its (m, k, s) residuals and (m, k, order + 1) fit
     coefficients.
     """
-    if order < 1:
-        raise DataError(f"dfa order must be >= 1, got {order}")
+    _check_order(order)
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
     rows, n = profiles.shape
     scales = _check_scales(scales, n, order + 2)

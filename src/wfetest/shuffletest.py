@@ -35,6 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
+from numbers import Integral
 from typing import Callable, Iterator
 
 import numpy as np
@@ -162,7 +163,7 @@ class _StateWords(ISeedSequence):
 
 def _n_words(value: int) -> int:
     """How many uint32 words ``SeedSequence`` splits a non-negative int into."""
-    return max(1, -(-value.bit_length() // 32))
+    return max(1, -(-int(value).bit_length() // 32))
 
 
 # uint32 array arithmetic below wraps as SeedSequence's does
@@ -244,6 +245,9 @@ def worker_map(workers: int, jobs: int) -> Iterator[Callable[..., Iterator]]:
 
 def _check_shuffle_args(n_shuffles: int, seed: int) -> None:
     """Reject a shuffle count or seed that no run could use, before any work."""
+    for name, value in (("n_shuffles", n_shuffles), ("seed", seed)):
+        if not isinstance(value, Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n_shuffles < 1:
         raise ConfigError(f"n_shuffles must be >= 1, got {n_shuffles}")
     if seed < 0:
@@ -293,9 +297,11 @@ def shuffle_exponents(
 ) -> tuple[np.ndarray, int]:
     """Exponents of n_replicates shuffled series over a fixed range.
 
-    A ``values`` array that is not 1-d, nonempty and finite, or a
-    ``scales`` array that is not whole, 1-d, nonempty, strictly
-    increasing and at most the series length, fails before any
+    A replicate count that is not an integer >= 1, a seed that is not
+    an integer >= 0, a ``values`` array that is not 1-d, nonempty and
+    finite, a ``scales`` array that is not whole, 1-d, nonempty,
+    strictly increasing and at most the series length, or an
+    ``s_range`` that is not a pair of numbers fails before any
     replicate is drawn; the kernel checks the method minimum.  Only the
     grid scales inside the inclusive ``s_range`` are computed, and a
     range that holds fewer than two of them is an
@@ -311,6 +317,8 @@ def shuffle_exponents(
     _check_shuffle_args(n_replicates, base_seed)
     values = _check_row(values, "series")
     scales = _check_scales(scales, len(values), 1)
+    if np.shape(s_range) != (2,) or np.asarray(s_range).dtype.kind not in "iuf":
+        raise DataError(f"s_range must be a pair of numbers, got {s_range!r}")
     lo, hi = s_range
     fitted = scales[(scales >= lo) & (scales <= hi)]
     if len(fitted) < 2:

@@ -10,7 +10,7 @@ from conftest import REPO_ROOT, SAMPLE_PRICES, child_env, day_range
 from wfetest import cli, scaling, shuffletest
 from wfetest.cli import SUBSERIES_CUTS, main
 from wfetest.detrend import Estimator
-from wfetest.timeseries import GULF_WAR, IRAQ_WAR, NAFTA
+from wfetest.timeseries import GULF_WAR, IRAQ_WAR, NAFTA, load_prices
 
 
 def run(*args):
@@ -172,6 +172,30 @@ class TestAnalyzeCommand:
         assert computed == []
         assert not (tmp_path / "no").exists()
         assert not list(tmp_path.rglob("*.tmp.*"))
+
+    @pytest.mark.parametrize("command", ["analyze", "test", "rolling"])
+    @pytest.mark.parametrize("options, message", [
+        (["--order", 0], "dfa order must be >= 1, got 0"),
+        (["--method", "dma", "--theta", 2], "theta must be in [0, 1], got 2.0"),
+    ], ids=["order", "theta"])
+    def test_bad_estimator_fails_before_the_input_is_read(
+        self, tmp_path, capsys, monkeypatch, command, options, message
+    ):
+        prices = synth_prices(tmp_path, n=400)
+        capsys.readouterr()
+        loads = []
+        monkeypatch.setattr(cli, "load_prices",
+                            lambda path: loads.append(path) or load_prices(path))
+        extra = {"analyze": [], "test": ["--n-shuffles", 10],
+                 "rolling": ["--window", 250, "--step", 50, "--n-shuffles", 10]}[command]
+        out = tmp_path / "out.txt"
+        assert run(command, "-i", prices, *extra, *options, "-o", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == []
+        assert not out.exists()
+        # the recorder sees the load of a run with good options
+        assert run(command, "-i", prices, *extra, "-o", out) == 0
+        assert loads == [str(prices)]
 
     def test_write_error_names_the_output(self, tmp_path):
         out = tmp_path / "gone" / "t.json"
@@ -606,3 +630,45 @@ class TestEntryPoint:
             env=child_env(),
         )
         assert proc.returncode == 2
+
+
+class TestParser:
+    SHARED = {
+        "--input": ("analyze", "test", "rolling"),
+        "--method": ("analyze", "test", "rolling"),
+        "--order": ("analyze", "test", "rolling"),
+        "--theta": ("analyze", "test", "rolling"),
+        "--range": ("analyze", "test"),
+        "--output": ("analyze", "test", "rolling", "synth"),
+        "--seed": ("test", "rolling", "synth"),
+        "--threads": ("test", "rolling"),
+    }
+
+    def test_each_shared_option_declared_once(self):
+        # one Action object serves every subcommand that takes the option,
+        # so its default, type, choices and help cannot drift apart
+        parser = cli.build_parser()
+        subs = next(a for a in parser._actions if a.dest == "subcommand").choices
+        for option, commands in self.SHARED.items():
+            taken_by = {name for name, p in subs.items() if option in p._option_string_actions}
+            assert taken_by == set(commands), option
+            actions = {id(subs[name]._option_string_actions[option]) for name in commands}
+            assert len(actions) == 1, option
+
+    def test_every_subcommand_keeps_its_defaults(self):
+        # a set_defaults on one subcommand for a shared option would change
+        # the default of every subcommand that shares its Action
+        series = {"input": "p.csv", "method": "dfa", "order": 1, "theta": 0.0}
+        shuffles = {**series, "seed": 42, "threads": 1}
+        expected = {
+            "analyze": {**series, "range_policy": "full", "format": "csv"},
+            "test": {**shuffles, "range_policy": "full", "n_shuffles": 10000,
+                     "subseries": None, "cuts": None, "include_ensemble": False},
+            "rolling": {**shuffles, "window": 1000, "step": 1, "n_shuffles": 1000},
+            "synth": {"hurst": 0.5, "n": 4096, "sigma": 1.0, "prices": False, "seed": 42},
+        }
+        for name, values in expected.items():
+            required = ["--hurst", "0.5"] if name == "synth" else ["-i", "p.csv"]
+            args = vars(cli.build_parser().parse_args([name, *required, "-o", "a"]))
+            assert args.pop("func").__name__ == f"cmd_{name}"
+            assert args == {"subcommand": name, "output": "a", **values}

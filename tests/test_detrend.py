@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -789,6 +790,43 @@ class TestEstimator:
             Estimator.dfa(0)
         with pytest.raises(DataError):
             Estimator.dma(-0.1)
+
+    # each bad theta or order, and the message that the Estimator and the
+    # kernel that takes it both give
+    BAD_PARAMETERS = [
+        ("dma", 2.0, "theta must be in [0, 1], got 2.0"),
+        ("dma", -1.0, "theta must be in [0, 1], got -1.0"),
+        ("dma", np.nan, "theta must be in [0, 1], got nan"),
+        ("dma", "0.5", "theta must be a real number, got '0.5'"),
+        ("dfa", 1.5, "dfa order must be an integer, got 1.5"),
+        ("dfa", 0, "dfa order must be >= 1, got 0"),
+        ("dfa", "2", "dfa order must be an integer, got '2'"),
+    ]
+
+    @pytest.mark.parametrize("kind,value,message", BAD_PARAMETERS)
+    def test_kernel_checks_its_parameter(self, kind, value, message):
+        # unchecked, the DMA kernel raised a bare numpy ValueError for a
+        # theta of 2.0, -1.0 or NaN, and the DFA kernel a TypeError for 1.5
+        prof = np.cumsum(np.random.default_rng(9).standard_normal(300))
+        kernel, scales = {"dma": (dma_fluctuation_matrix, [4, 8, 16]),
+                          "dfa": (dfa_fluctuation_matrix, [10, 20])}[kind]
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            kernel(prof, scales, value)
+
+    @pytest.mark.parametrize("kind,value,message", BAD_PARAMETERS)
+    def test_estimator_checks_as_its_kernel(self, kind, value, message):
+        make = {"dma": Estimator.dma, "dfa": Estimator.dfa}[kind]
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            make(value)
+
+    def test_numpy_parameters_accepted(self):
+        prof = np.cumsum(np.random.default_rng(9).standard_normal(300))
+        scales = np.array([8, 16])
+        for est, plain in [(Estimator.dfa(np.int64(2)), Estimator.dfa(2)),
+                           (Estimator.dma(np.float32(0.5)), Estimator.dma(0.5))]:
+            assert est.tag == plain.tag
+            assert np.array_equal(est.fluctuation_matrix(prof, scales),
+                                  plain.fluctuation_matrix(prof, scales))
 
     def test_dispatch_matches_kernels(self):
         prof = np.cumsum(np.random.default_rng(9).standard_normal(300))

@@ -323,6 +323,48 @@ class TestShuffleExponents:
             efficiency_test(self.r, Estimator.dfa(), fit, n_replicates=n_replicates, seed=seed)
         assert drawn == []
 
+    @pytest.mark.parametrize(
+        "n_replicates, seed, error, message",
+        [(10.5, 1, ConfigError, "n_shuffles must be an integer, got 10.5"),
+         (10, 1.5, ConfigError, "seed must be an integer, got 1.5"),
+         ("10", 1, ConfigError, "n_shuffles must be an integer, got '10'"),
+         (10, None, ConfigError, "seed must be an integer, got None")],
+        ids=["fractional-count", "fractional-seed", "string-count", "no-seed"],
+    )
+    def test_non_integer_count_or_seed_fails_before_any_draw(
+        self, monkeypatch, n_replicates, seed, error, message
+    ):
+        # unchecked, 10.5 replicates end in a TypeError from range and a
+        # seed of 1.5 in a TypeError from SeedSequence
+        drawn = []
+        monkeypatch.setattr(shuffletest, "_replicate_rngs", lambda *a: drawn.append(a))
+        with pytest.raises(error, match=f"^{message}$"):
+            shuffle_exponents(
+                self.r.values, Estimator.dfa(), self.grid, self.range, n_replicates, seed
+            )
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "s_range",
+        [(10,), (10, 50, 90), 10, "ab", ("10", "50"), (10, None), [[10, 50]]],
+        ids=["one", "three", "scalar", "string", "strings", "none", "nested"],
+    )
+    def test_s_range_not_a_pair_fails_before_any_draw(self, monkeypatch, s_range):
+        # unchecked, (10,) ends in a ValueError from unpacking
+        drawn = []
+        monkeypatch.setattr(shuffletest, "_replicate_rngs", lambda *a: drawn.append(a))
+        with pytest.raises(DataError, match=r"^s_range must be a pair of numbers, got "):
+            shuffle_exponents(self.r.values, Estimator.dfa(), self.grid, s_range, 20, 1)
+        assert drawn == []
+
+    def test_numpy_integer_count_and_seed_are_the_int_ones(self):
+        args = (self.r.values, Estimator.dfa(), self.grid, self.range)
+        plain, _ = shuffle_exponents(*args, 20, 3, (2,))
+        for count, seed, prefix in [(np.int64(20), np.int64(3), (np.int64(2),)),
+                                    (np.uint16(20), np.uint32(3), (np.uint8(2),))]:
+            ensemble, _ = shuffle_exponents(*args, count, seed, prefix)
+            assert np.array_equal(ensemble, plain)
+
     def test_only_fitted_scales_computed(self, monkeypatch):
         scales = self.grid
         s_range = (int(scales[3]), int(scales[17]))
