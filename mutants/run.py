@@ -55,8 +55,8 @@ MUTANTS = [
     # the first catalogue of one-line mutants (ROADMAP item 7)
     Mutant("p-ties-extreme", "src/wfetest/shuffletest.py",
            "np.abs(e - mean) > abs(h - mean)", "np.abs(e - mean) >= abs(h - mean)"),
-    Mutant("band-edge-outside", "src/wfetest/rolling.py",
-           "if res.h < res.q025:", "if res.h <= res.q025:"),
+    Mutant("band-edge-outside", "src/wfetest/shuffletest.py",
+           "if self.h < self.q025:", "if self.h <= self.q025:"),
     Mutant("dfa-single-cover-not-doubled", "src/wfetest/detrend.py",
            "            if len(starts) == 1:\n                total *= 2",
            "            if len(starts) == 1:\n                total *= 1"),
@@ -141,8 +141,21 @@ MUTANTS = [
            "    est = _estimator(args)\n    series = _load(args)\n    args.subseries",
            "    series = _load(args)\n    est = _estimator(args)\n    args.subseries"),
     Mutant("s-range-pair-unchecked", "src/wfetest/shuffletest.py",
-           '    if np.shape(s_range) != (2,) or np.asarray(s_range).dtype.kind not in "iuf":\n'
+           '    if pair.shape != (2,) or pair.dtype.kind not in "iuf":\n'
            '        raise DataError(f"s_range must be a pair of numbers, got {s_range!r}")\n', ""),
+    # every byte formatted in cli.py, and each run option checked before the input
+    Mutant("window-row-band-swapped", "src/wfetest/cli.py",
+           "{res.q025!r},{res.q975!r}", "{res.q975!r},{res.q025!r}"),
+    Mutant("result-doc-always-ensemble", "src/wfetest/cli.py",
+           "    if include_ensemble:\n", "    if True:\n"),
+    Mutant("rolling-options-after-load", "src/wfetest/cli.py",
+           "    _check_rolling_args(args.window, args.step, args.n_shuffles, args.seed)\n"
+           "    _check_workers(args.threads)\n    series = _load(args)\n",
+           "    series = _load(args)\n"
+           "    _check_rolling_args(args.window, args.step, args.n_shuffles, args.seed)\n"
+           "    _check_workers(args.threads)\n"),
+    Mutant("s-range-ragged-unchecked", "src/wfetest/shuffletest.py",
+           "    except ValueError:  # ragged", "    except TypeError:  # ragged"),
 ]
 
 

@@ -1,15 +1,18 @@
 """Command-line interface: analyze, test, rolling, synth.
 
-Every artifact embeds a schema tag, the library version, and the fully
-resolved run configuration, so any output file documents the exact run
-that produced it.  Worker count is deliberately left out of the echoed
-config: it must never change the result, and artifacts are required to
-be byte-identical for any --threads value.
+This module alone formats output: every artifact's keys, columns and
+float reprs and every stdout line are laid out here, and the result
+types hold only numbers.  Every artifact embeds a schema tag, the
+library version, and the fully resolved run configuration, so any
+output file documents the exact run that produced it.  Worker count is
+deliberately left out of the echoed config: it must never change the
+result, and artifacts are required to be byte-identical for any
+--threads value.
 
-The output location is checked before any work, and files are written
-to a temporary sibling and renamed into place, so a failed run never
-leaves a partial artifact.  Exit status is 0 exactly when every
-requested output was fully written.
+The output location and every run option are checked before the input
+is read, and files are written to a temporary sibling and renamed into
+place, so a failed run never leaves a partial artifact.  Exit status is
+0 exactly when every requested output was fully written.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ import sys
 from . import __version__
 from .detrend import Estimator
 from .errors import WfeError, _labelled
-from .rolling import WINDOW_CSV_HEADER, rolling_analysis
-from .scaling import RANGE_POLICIES, estimate
+from .rolling import WindowResult, _check_rolling_args, rolling_analysis
+from .scaling import RANGE_POLICIES, ScalingFit, estimate
 from .shuffletest import (
     DEFAULT_SEED,
+    SIGNIFICANCE_LEVEL,
+    ShuffleTestResult,
     _check_shuffle_args,
+    _check_workers,
     _replicate_chunks,
     efficiency_test,
     worker_map,
@@ -92,6 +98,42 @@ def _csv_preamble(schema: str, config: dict) -> list[str]:
     return [f"# schema: {schema}", f"# version: {__version__}", f"# config: {cfg}"]
 
 
+def _fit_doc(fit: ScalingFit) -> dict:
+    return {"H": fit.h, "stderr": fit.stderr, "s_lo": fit.s_lo, "s_hi": fit.s_hi,
+            "rss": fit.rss, "n_points": fit.n_points}
+
+
+def _result_doc(res: ShuffleTestResult, include_ensemble: bool = False) -> dict:
+    doc = {
+        "method": res.method, "H": res.h, "mean_Hs": res.mean_hs, "p": res.p,
+        "q025": res.q025, "q975": res.q975, "n_replicates": res.n_replicates,
+        "seed": res.seed, "s_lo": res.s_lo, "s_hi": res.s_hi,
+        "n_redraws": res.n_redraws, "rejected_at_1pct": res.rejected,
+    }
+    if include_ensemble:
+        doc["ensemble"] = [float(v) for v in res.ensemble]
+    return doc
+
+
+def _summary(res: ShuffleTestResult) -> str:
+    return (
+        f"{res.method}: H={res.h:.3f} <H^s>={res.mean_hs:.3f} "
+        f"p={res.p:.4f} -> null {res.verdict} at {SIGNIFICANCE_LEVEL:g}"
+    )
+
+
+_WINDOW_HEADER = "end_date,H,q025,q975,flag,s_lo,s_hi"
+
+
+def _window_row(row: WindowResult) -> str:
+    # float(): numpy 2 prints an np.float64 as np.float64(0.8)
+    res = row.result
+    return (
+        f"{row.end_date},{float(res.h)!r},{res.q025!r},{res.q975!r},"
+        f"{res.flag},{int(res.s_lo)},{int(res.s_hi)}"
+    )
+
+
 def _estimator(args: argparse.Namespace) -> Estimator:
     if args.method == "dfa":
         return Estimator.dfa(args.order)
@@ -126,15 +168,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "n_returns": len(r),
                 "scales": scales.tolist(),
                 "f": f.tolist(),
-                "fit": fit.to_json_dict(),
+                "fit": _fit_doc(fit),
                 "relations": relations,
             },
         )
     else:
         lines = _csv_preamble("wfetest/fluctuation/v1", config)
-        lines.append(
-            "# fit: " + json.dumps(fit.to_json_dict(), sort_keys=True)
-        )
+        lines.append("# fit: " + json.dumps(_fit_doc(fit), sort_keys=True))
         lines.append("# relations: " + json.dumps(relations, sort_keys=True))
         lines.append("s,F")
         lines.extend(f"{int(s)},{float(v)!r}" for s, v in zip(scales, f))
@@ -150,6 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     _check_shuffle_args(args.n_shuffles, args.seed)
+    _check_workers(args.threads)
     est = _estimator(args)
     series = _load(args)
     args.subseries = args.subseries or "whole"  # echoed in the config
@@ -179,13 +220,13 @@ def cmd_test(args: argparse.Namespace) -> int:
                     r, est, fit,
                     n_replicates=args.n_shuffles, seed=args.seed, pmap=pmap,
                 )
-            print(f"[{label}] {res.summary()}")
+            print(f"[{label}] {_summary(res)}")
             seg_docs.append(
                 {
                     "start": str(seg.dates[0]),
                     "end": str(seg.dates[-1]),
                     "n_returns": len(r.values),
-                    "result": res.to_json_dict(args.include_ensemble),
+                    "result": _result_doc(res, args.include_ensemble),
                 }
             )
     text = _json_artifact(
@@ -199,6 +240,8 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_rolling(args: argparse.Namespace) -> int:
     est = _estimator(args)
+    _check_rolling_args(args.window, args.step, args.n_shuffles, args.seed)
+    _check_workers(args.threads)
     series = _load(args)
 
     shown = []
@@ -223,10 +266,10 @@ def cmd_rolling(args: argparse.Namespace) -> int:
         if shown:  # end the progress line, also before an error is printed
             print(file=sys.stderr)
     lines = _csv_preamble("wfetest/rolling-windows/v1", _config_dict(args))
-    lines.append(WINDOW_CSV_HEADER)
-    lines.extend(res.csv_row() for res in results)
+    lines.append(_WINDOW_HEADER)
+    lines.extend(_window_row(row) for row in results)
     _atomic_write(args.output, "\n".join(lines) + "\n")
-    outside = sum(res.outside for res in results)
+    outside = sum(row.result.flag != "inside" for row in results)
     print(
         f"{len(results)} windows, {outside} outside the 2.5/97.5% band "
         f"({outside / len(results):.1%})"

@@ -4,8 +4,9 @@ Each window of ``window_size`` consecutive returns gets the whole
 treatment: profile, fluctuation function on a grid built for the window
 length, minimal-residual scaling-range search over a fixed number of
 grid points, exponent fit, and a shuffle ensemble over the SAME range.
-The result row is the window's whole shuffle test; its flag says where
-H falls against the ensemble's 2.5/97.5% band.
+A window's result is its end date and its whole shuffle test, whose
+flag says where H falls against the ensemble's 2.5/97.5% band; the CLI
+lays out the rows.
 
 Windows are independent work units, and every window, in this process
 or in a worker, runs through :func:`window_result`; a worker is sent
@@ -35,36 +36,12 @@ from .shuffletest import (
 )
 from .timeseries import ReturnSeries
 
-WINDOW_CSV_HEADER = "end_date,H,q025,q975,flag,s_lo,s_hi"
-
-
 @dataclass(frozen=True)
 class WindowResult:
     """One window's shuffle test, dated by the window's last return."""
 
     end_date: np.datetime64
     result: ShuffleTestResult
-
-    @property
-    def flag(self) -> str:
-        """Where H lies against the band; the band edges count as inside."""
-        res = self.result
-        if res.h < res.q025:
-            return "below"
-        if res.h > res.q975:
-            return "above"
-        return "inside"
-
-    @property
-    def outside(self) -> bool:
-        return self.flag != "inside"
-
-    def csv_row(self) -> str:
-        res = self.result
-        return (
-            f"{self.end_date},{float(res.h)!r},{res.q025!r},{res.q975!r},"
-            f"{self.flag},{int(res.s_lo)},{int(res.s_hi)}"
-        )
 
 
 def window_result(
@@ -100,6 +77,17 @@ def window_result(
     return WindowResult(window.dates[-1], res)
 
 
+def _check_rolling_args(window_size: int, step: int, n_shuffles: int, seed: int) -> None:
+    """Reject a window, step, shuffle count or seed that no run could use."""
+    if step < 1:
+        raise ConfigError(f"step must be >= 1, got {step}")
+    _check_shuffle_args(n_shuffles, seed)
+    try:
+        default_scales(window_size)
+    except InsufficientDataError as exc:
+        raise ConfigError(f"window_size {window_size} too small: {exc}") from exc
+
+
 def rolling_analysis(
     r: ReturnSeries,
     window_size: int = 1000,
@@ -119,13 +107,7 @@ def rolling_analysis(
     ``progress`` is called as ``progress(done, total)`` after each
     window finishes.
     """
-    if step < 1:
-        raise ConfigError(f"step must be >= 1, got {step}")
-    _check_shuffle_args(n_shuffles, seed)
-    try:
-        default_scales(window_size)
-    except InsufficientDataError as exc:
-        raise ConfigError(f"window_size {window_size} too small: {exc}") from exc
+    _check_rolling_args(window_size, step, n_shuffles, seed)
     if len(r.values) < window_size:
         raise ConfigError(
             f"series has {len(r.values)} returns, fewer than the window "

@@ -53,16 +53,6 @@ class ScalingFit:
         """Autocorrelation exponent 2 - 2H."""
         return 2.0 - 2.0 * self.h
 
-    def to_json_dict(self) -> dict:
-        return {
-            "H": self.h,
-            "stderr": self.stderr,
-            "s_lo": self.s_lo,
-            "s_hi": self.s_hi,
-            "rss": self.rss,
-            "n_points": self.n_points,
-        }
-
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares slope and rss of y on x along the last axis.

@@ -8,7 +8,9 @@ two-tailed p-value is
     p = Prob(|H_s - <H_s>| > |H - <H_s>|)
 
 with <H_s> the ensemble mean and the inequality strict, so ties favor
-non-rejection.  The null is rejected at the 0.01 level.
+non-rejection.  The null is rejected at the 0.01 level.  A result holds
+only numbers and the statistics derived from them, the band flag
+among them; the CLI formats every artifact and stdout line.
 
 Replicate i draws its permutation from a generator seeded by
 ``SeedSequence(base_seed, spawn_key=(*prefix, i))``, so any subset of
@@ -110,30 +112,14 @@ class ShuffleTestResult:
     def verdict(self) -> str:
         return "rejected" if self.rejected else "not rejected"
 
-    def summary(self) -> str:
-        return (
-            f"{self.method}: H={self.h:.3f} <H^s>={self.mean_hs:.3f} "
-            f"p={self.p:.4f} -> null {self.verdict} at {SIGNIFICANCE_LEVEL:g}"
-        )
-
-    def to_json_dict(self, include_ensemble: bool = False) -> dict:
-        out = {
-            "method": self.method,
-            "H": self.h,
-            "mean_Hs": self.mean_hs,
-            "p": self.p,
-            "q025": self.q025,
-            "q975": self.q975,
-            "n_replicates": self.n_replicates,
-            "seed": self.seed,
-            "s_lo": self.s_lo,
-            "s_hi": self.s_hi,
-            "n_redraws": self.n_redraws,
-            "rejected_at_1pct": self.rejected,
-        }
-        if include_ensemble:
-            out["ensemble"] = [float(v) for v in self.ensemble]
-        return out
+    @property
+    def flag(self) -> str:
+        """Where H lies against the band; the band edges count as inside."""
+        if self.h < self.q025:
+            return "below"
+        if self.h > self.q975:
+            return "above"
+        return "inside"
 
 
 def replicate_rng(
@@ -233,14 +219,18 @@ def worker_map(workers: int, jobs: int) -> Iterator[Callable[..., Iterator]]:
     the block and shuts down when the block ends.  Results never depend
     on the worker count.
     """
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
+    _check_workers(workers)
     workers = min(workers, jobs)
     if workers < 2:
         yield map
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield pool.map
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
 
 
 def _check_shuffle_args(n_shuffles: int, seed: int) -> None:
@@ -317,7 +307,11 @@ def shuffle_exponents(
     _check_shuffle_args(n_replicates, base_seed)
     values = _check_row(values, "series")
     scales = _check_scales(scales, len(values), 1)
-    if np.shape(s_range) != (2,) or np.asarray(s_range).dtype.kind not in "iuf":
+    try:
+        pair = np.asarray(s_range)
+    except ValueError:  # ragged, such as ((10,), 50)
+        pair = np.empty(0)
+    if pair.shape != (2,) or pair.dtype.kind not in "iuf":
         raise DataError(f"s_range must be a pair of numbers, got {s_range!r}")
     lo, hi = s_range
     fitted = scales[(scales >= lo) & (scales <= hi)]

@@ -163,14 +163,14 @@ def test_criterion_6_rolling_excursions_and_majority_inside():
     missing = []
     for label, (lo, hi) in periods.items():
         hit = any(
-            row.flag == "above"
+            row.result.flag == "above"
             and start <= hi
             and row.end_date >= lo
             for start, row in zip(starts, rows)
         )
         if not hit:
             missing.append(label)
-    outside = sum(row.outside for row in rows) / len(rows)
+    outside = sum(row.result.flag != "inside" for row in rows) / len(rows)
     ok = not missing and outside < 0.5
     detail = f"outside fraction {outside:.3f}"
     if missing:

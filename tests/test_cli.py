@@ -173,11 +173,27 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "no").exists()
         assert not list(tmp_path.rglob("*.tmp.*"))
 
-    @pytest.mark.parametrize("command", ["analyze", "test", "rolling"])
-    @pytest.mark.parametrize("options, message", [
-        (["--order", 0], "dfa order must be >= 1, got 0"),
-        (["--method", "dma", "--theta", 2], "theta must be in [0, 1], got 2.0"),
-    ], ids=["order", "theta"])
+    @pytest.mark.parametrize("command, options, message", [
+        *(pytest.param(command, options, message, id=f"{name}-{command}")
+          for name, options, message in [
+              ("order", ["--order", 0], "dfa order must be >= 1, got 0"),
+              ("theta", ["--method", "dma", "--theta", 2],
+               "theta must be in [0, 1], got 2.0"),
+          ]
+          for command in ("analyze", "test", "rolling")),
+        # every run option is checked before the input too
+        pytest.param("rolling", ["--step", 0], "step must be >= 1, got 0", id="step-rolling"),
+        pytest.param("rolling", ["--window", 5],
+                     "window_size 5 too small: series of length 5 supports 0 scales "
+                     "in [10, 0]; need at least 16", id="window-rolling"),
+        pytest.param("rolling", ["--n-shuffles", 0], "n_shuffles must be >= 1, got 0",
+                     id="n-shuffles-rolling"),
+        pytest.param("rolling", ["--seed", -1], "seed must be >= 0, got -1", id="seed-rolling"),
+        pytest.param("rolling", ["--threads", 0], "worker count must be >= 1, got 0",
+                     id="threads-rolling"),
+        pytest.param("test", ["--threads", 0], "worker count must be >= 1, got 0",
+                     id="threads-test"),
+    ])
     def test_bad_estimator_fails_before_the_input_is_read(
         self, tmp_path, capsys, monkeypatch, command, options, message
     ):

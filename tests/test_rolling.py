@@ -6,15 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfetest import rolling
+from wfetest import cli, rolling
 from wfetest.detrend import Estimator, default_scales
 from wfetest.errors import ConfigError
-from wfetest.rolling import (
-    WINDOW_CSV_HEADER,
-    WindowResult,
-    rolling_analysis,
-    window_result,
-)
+from wfetest.rolling import WindowResult, rolling_analysis, window_result
 from wfetest.shuffletest import ShuffleTestResult
 from wfetest.synth import FgnSpec, generate_fgn, synthetic_prices
 from wfetest.timeseries import ReturnSeries, log_returns
@@ -40,7 +35,7 @@ def band_ensemble(q025, q975):
 def rows_as_dicts(rows):
     """Everything a row holds: its end date and its whole test result."""
     return [
-        (row.end_date, row.result.to_json_dict(include_ensemble=True))
+        (row.end_date, cli._result_doc(row.result, include_ensemble=True))
         for row in rows
     ]
 
@@ -59,26 +54,27 @@ class TestWindowResult:
 
     def test_flag_consistency_enforced(self):
         # the flag derives from the result's H and band, so it cannot disagree
-        assert self.make().flag == "inside"
-        assert self.make(h=0.40).flag == "below"
-        assert self.make(h=0.60).flag == "above"
+        assert self.make().result.flag == "inside"
+        assert self.make(h=0.40).result.flag == "below"
+        assert self.make(h=0.60).result.flag == "above"
 
     def test_band_edges_count_as_inside(self):
-        assert self.make(h=0.45).flag == "inside"
-        assert self.make(h=0.55).flag == "inside"
+        assert self.make(h=0.45).result.flag == "inside"
+        assert self.make(h=0.55).result.flag == "inside"
 
     def test_outside_property(self):
-        assert not self.make().outside
-        assert self.make(h=0.40).outside
-        assert self.make(h=0.60).outside
+        # a window is outside the band exactly when its flag is not "inside"
+        assert self.make().result.flag == "inside"
+        assert self.make(h=0.40).result.flag != "inside"
+        assert self.make(h=0.60).result.flag != "inside"
 
     def test_csv_row_matches_header(self):
         # values whose repr needs 16-17 significant digits, so rounding shows
-        row = self.make(
+        row = cli._window_row(self.make(
             h=np.float64(0.1 + 0.7), q025=0.1 + 0.2, q975=1 - 1 / 7
-        ).csv_row()
+        ))
         cols = row.split(",")
-        assert len(cols) == len(WINDOW_CSV_HEADER.split(","))
+        assert len(cols) == len(cli._WINDOW_HEADER.split(","))
         assert cols[0] == "2001-01-01"
         assert cols[1:4] == [repr(0.1 + 0.7), repr(0.1 + 0.2), repr(1 - 1 / 7)]
         assert cols[4] == "inside"
@@ -243,7 +239,7 @@ class TestRollingMetamorphic:
         for a, b in zip(base, moved):
             assert abs(b.result.h - a.result.h) <= self.BOUND
             assert np.max(np.abs(b.result.ensemble - a.result.ensemble)) <= self.BOUND
-            assert b.flag == a.flag and b.result.p == a.result.p
+            assert b.result.flag == a.result.flag and b.result.p == a.result.p
             assert (b.result.s_lo, b.result.s_hi) == (a.result.s_lo, a.result.s_hi)
 
 
@@ -259,5 +255,5 @@ class TestCalibration:
             r, window_size=500, step=500, n_shuffles=1000, seed=42, workers=2
         )
         assert len(rows) == 200
-        outside = sum(r.outside for r in rows)
+        outside = sum(r.result.flag != "inside" for r in rows)
         assert outside / len(rows) <= 0.10, f"{outside}/200 outside"

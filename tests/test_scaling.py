@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from wfetest import cli
 from wfetest.detrend import Estimator, default_scales, fluctuation
 from wfetest.errors import (
     ConfigError,
@@ -146,7 +147,7 @@ class TestScalingFitType:
 
     def test_json_keys(self):
         fit = ScalingFit(h=0.5, stderr=0.01, s_lo=10, s_hi=40, rss=0.2, n_points=5)
-        assert fit.to_json_dict() == {
+        assert cli._fit_doc(fit) == {
             "H": 0.5, "stderr": 0.01, "s_lo": 10, "s_hi": 40,
             "rss": 0.2, "n_points": 5,
         }

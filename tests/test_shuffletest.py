@@ -5,11 +5,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from wfetest import shuffletest
+from wfetest import cli, shuffletest
 from wfetest.cli import main
 from wfetest.detrend import Estimator, default_scales
 from wfetest.errors import ConfigError, DataError, EstimationError
-from wfetest.rolling import WINDOW_CSV_HEADER
 from wfetest.scaling import estimate, fit_power_law
 from wfetest.shuffletest import (
     DEFAULT_SEED,
@@ -346,8 +345,10 @@ class TestShuffleExponents:
 
     @pytest.mark.parametrize(
         "s_range",
-        [(10,), (10, 50, 90), 10, "ab", ("10", "50"), (10, None), [[10, 50]]],
-        ids=["one", "three", "scalar", "string", "strings", "none", "nested"],
+        [(10,), (10, 50, 90), 10, "ab", ("10", "50"), (10, None), [[10, 50]],
+         ((10,), 50), (10, (50,)), ([10, 20], 50)],
+        ids=["one", "three", "scalar", "string", "strings", "none", "nested",
+             "ragged-lo", "ragged-hi", "ragged-list"],
     )
     def test_s_range_not_a_pair_fails_before_any_draw(self, monkeypatch, s_range):
         # unchecked, (10,) ends in a ValueError from unpacking
@@ -447,8 +448,8 @@ class TestEfficiencyTest:
         a = shuffle_test(r, Estimator.dma(0.0), n_replicates=50, seed=5)
         b = shuffle_test(r, Estimator.dma(0.0), n_replicates=50, seed=5)
         c = shuffle_test(r, Estimator.dma(0.0), n_replicates=50, seed=6)
-        assert a.to_json_dict(include_ensemble=True) == b.to_json_dict(
-            include_ensemble=True
+        assert cli._result_doc(a, include_ensemble=True) == cli._result_doc(
+            b, include_ensemble=True
         )
         assert not np.array_equal(a.ensemble, c.ensemble)
 
@@ -472,7 +473,7 @@ class TestEfficiencyTest:
     def test_summary_line(self):
         res = shuffle_test(make_returns(900), Estimator.dma(0.5),
                               n_replicates=25, seed=2)
-        line = res.summary()
+        line = cli._summary(res)
         assert line.startswith("CDMA: H=")
         assert "p=" in line and "0.01" in line
 
@@ -550,11 +551,11 @@ class TestShuffleTestResult:
 
     def test_json_dict_round_trips(self):
         res = ShuffleTestResult(**self.valid_kwargs())
-        d = res.to_json_dict()
+        d = cli._result_doc(res)
         assert d["H"] == 0.5 and d["n_replicates"] == 5
         assert "ensemble" not in d
         assert d["rejected_at_1pct"] is False
-        d = res.to_json_dict(include_ensemble=True)
+        d = cli._result_doc(res, include_ensemble=True)
         assert d["ensemble"] == res.ensemble.tolist()
 
     def test_default_seed_constant(self):
@@ -644,6 +645,6 @@ class TestWorkerMap:
         out = tmp_path / "r.csv"
         assert main(["rolling", "-i", str(SAMPLE_PRICES), "--window", "500", "--step", "600",
                      "--n-shuffles", "20", "--threads", "8", "-o", str(out)]) == 0
-        assert out.read_text().splitlines()[3] == WINDOW_CSV_HEADER
+        assert out.read_text().splitlines()[3] == cli._WINDOW_HEADER
         assert len(out.read_text().splitlines()[4:]) == 4
         assert pool_sizes == [4]
