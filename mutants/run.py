@@ -90,16 +90,16 @@ MUTANTS = [
            "    if not np.all(np.isfinite(f)):\n"
            '        raise DataError("fluctuation values must be finite")\n', ""),
     Mutant("check-row-dtype", "src/wfetest/timeseries.py",
-           '    if values.dtype.kind not in "iuf":\n'
-           '        raise DataError(f"{name} values must be integers or floats")\n', ""),
+           'values = _numbers(values, f"{name} values must be integers or floats")',
+           "values = np.asarray(values)"),
     # the range rule's rss, the fixed range's check and the labelled errors
     Mutant("rule-rss-first-window", "src/wfetest/scaling.py",
            "rss[rows, best]", "rss[rows, 0]"),
     Mutant("fixed-range-one-point", "src/wfetest/shuffletest.py",
            "if len(fitted) < 2:", "if len(fitted) < 1:"),
     Mutant("f-dtype-clause", "src/wfetest/scaling.py",
-           '    if f_matrix.dtype.kind not in "iuf":\n'
-           '        raise DataError("f_matrix values must be integers or floats")\n', ""),
+           'f_matrix = _numbers(f_matrix, "f_matrix values must be integers or floats")',
+           "f_matrix = np.asarray(f_matrix)"),
     Mutant("segment-label-pre-pass", "src/wfetest/cli.py",
            "            with _labelled(label):\n                r = log_returns(seg)",
            '            with _labelled("segment"):\n                r = log_returns(seg)'),
@@ -134,15 +134,15 @@ MUTANTS = [
     # and the shuffle arguments' own checks
     Mutant("dma-theta-unchecked", "src/wfetest/detrend.py",
            "    _check_theta(theta)\n", ""),
-    Mutant("order-integer-clause", "src/wfetest/detrend.py",
-           "    if not isinstance(order, Integral):\n"
-           '        raise DataError(f"dfa order must be an integer, got {order!r}")\n', ""),
+    Mutant("order-integer-clause", "src/wfetest/timeseries.py",
+           "if not isinstance(value, Integral) or isinstance(value, bool):",
+           "if isinstance(value, bool):"),
     Mutant("test-estimator-after-load", "src/wfetest/cli.py",
            "    est = _estimator(args)\n    series = _load(args)\n    args.subseries",
            "    series = _load(args)\n    est = _estimator(args)\n    args.subseries"),
     Mutant("s-range-pair-unchecked", "src/wfetest/shuffletest.py",
-           '    if pair.shape != (2,) or pair.dtype.kind not in "iuf":\n'
-           '        raise DataError(f"s_range must be a pair of numbers, got {s_range!r}")\n', ""),
+           "    if _numbers(s_range, not_a_pair).shape != (2,):\n"
+           "        raise DataError(not_a_pair)\n", ""),
     # every byte formatted in cli.py, and each run option checked before the input
     Mutant("window-row-band-swapped", "src/wfetest/cli.py",
            "{res.q025!r},{res.q975!r}", "{res.q975!r},{res.q025!r}"),
@@ -150,12 +150,25 @@ MUTANTS = [
            "    if include_ensemble:\n", "    if True:\n"),
     Mutant("rolling-options-after-load", "src/wfetest/cli.py",
            "    _check_rolling_args(args.window, args.step, args.n_shuffles, args.seed)\n"
-           "    _check_workers(args.threads)\n    series = _load(args)\n",
+           '    _whole(args.threads, "worker count", 1)\n    series = _load(args)\n',
            "    series = _load(args)\n"
            "    _check_rolling_args(args.window, args.step, args.n_shuffles, args.seed)\n"
-           "    _check_workers(args.threads)\n"),
+           '    _whole(args.threads, "worker count", 1)\n'),
     Mutant("s-range-ragged-unchecked", "src/wfetest/shuffletest.py",
+           "if _numbers(s_range, not_a_pair).shape", "if np.asarray(s_range).shape"),
+    # one check per kind of argument
+    Mutant("whole-accepts-bool", "src/wfetest/timeseries.py",
+           "if not isinstance(value, Integral) or isinstance(value, bool):",
+           "if not isinstance(value, Integral):"),
+    Mutant("whole-bound-exclusive", "src/wfetest/timeseries.py",
+           "if value < minimum:", "if value <= minimum:"),
+    Mutant("real-accepts-bool", "src/wfetest/timeseries.py",
+           "if not isinstance(value, Real) or isinstance(value, bool):",
+           "if not isinstance(value, Real):"),
+    Mutant("numbers-ragged-uncaught", "src/wfetest/timeseries.py",
            "    except ValueError:  # ragged", "    except TypeError:  # ragged"),
+    Mutant("window-start-unchecked", "src/wfetest/rolling.py",
+           '    _whole(start, "window start", 0)\n', ""),
 ]
 
 

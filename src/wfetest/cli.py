@@ -33,7 +33,6 @@ from .shuffletest import (
     SIGNIFICANCE_LEVEL,
     ShuffleTestResult,
     _check_shuffle_args,
-    _check_workers,
     _replicate_chunks,
     efficiency_test,
     worker_map,
@@ -44,6 +43,7 @@ from .timeseries import (
     IRAQ_WAR,
     NAFTA,
     PriceSeries,
+    _whole,
     load_prices,
     log_returns,
     split_by_dates,
@@ -190,7 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     _check_shuffle_args(args.n_shuffles, args.seed)
-    _check_workers(args.threads)
+    _whole(args.threads, "worker count", 1)
     est = _estimator(args)
     series = _load(args)
     args.subseries = args.subseries or "whole"  # echoed in the config
@@ -241,7 +241,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_rolling(args: argparse.Namespace) -> int:
     est = _estimator(args)
     _check_rolling_args(args.window, args.step, args.n_shuffles, args.seed)
-    _check_workers(args.threads)
+    _whole(args.threads, "worker count", 1)
     series = _load(args)
 
     shown = []

@@ -4,7 +4,7 @@ Both detrenders consume a profile, a plain float64 array (cumulative
 sum of demeaned increments), and produce the root-mean-square detrended
 residual F(s) over a grid of whole box sizes s, an int64 array; every
 kernel call checks its grid once, in :func:`_check_scales`, and its
-theta or order in :func:`_check_theta` or :func:`_check_order`, the
+theta or order in :func:`_check_theta` or ``timeseries._whole``, the
 checks :class:`Estimator` runs too.
 
 DMA subtracts a moving average of span s whose placement is set by the
@@ -53,12 +53,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, ScaleRangeError
-from .timeseries import _check_row, _readonly
+from .timeseries import _check_row, _numbers, _readonly, _real, _whole
 
 # Minimum number of grid points: scaling.FIT_WINDOW, the 15 points of the
 # auto range's fit window, plus one point of slack.
@@ -101,12 +100,10 @@ class Estimator:
     order: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("dma", "dfa"):
+        if not isinstance(self.kind, str) or self.kind not in ("dma", "dfa"):
             raise DataError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "dma":
-            _check_theta(self.theta)
-        else:
-            _check_order(self.order)
+        _check_theta(self.theta)
+        _whole(self.order, "dfa order", 1, DataError)
 
     @classmethod
     def dma(cls, theta: float) -> "Estimator":
@@ -131,18 +128,9 @@ class Estimator:
 
 def _check_theta(theta) -> None:
     """A DataError unless theta is a real number in [0, 1]."""
-    if not isinstance(theta, Real):
-        raise DataError(f"theta must be a real number, got {theta!r}")
+    _real(theta, "theta")
     if not 0.0 <= theta <= 1.0:
         raise DataError(f"theta must be in [0, 1], got {theta}")
-
-
-def _check_order(order) -> None:
-    """A DataError unless order is an integer of at least 1."""
-    if not isinstance(order, Integral):
-        raise DataError(f"dfa order must be an integer, got {order!r}")
-    if order < 1:
-        raise DataError(f"dfa order must be >= 1, got {order}")
 
 
 def default_scales(n: int) -> np.ndarray:
@@ -154,6 +142,7 @@ def default_scales(n: int) -> np.ndarray:
     until enough come out.  Raises InsufficientDataError when
     [10, n // 10] cannot hold that many integers.
     """
+    _whole(n, "series length", 0, DataError)
     s_max = n // 10
     available = s_max - 10 + 1
     if available < MIN_GRID_POINTS:
@@ -215,7 +204,7 @@ def dma_fluctuation_matrix(
     against 1.5e-11 for this kernel (``tests/test_detrend.py``).
     """
     _check_theta(theta)
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
+    profiles = _profile_rows(profiles)
     rows, n = profiles.shape
     scales = _check_scales(scales, n, DMA_MIN_SCALE)
 
@@ -314,8 +303,8 @@ def dfa_fluctuation_matrix(
     scale views them as its (m, k, s) residuals and (m, k, order + 1) fit
     coefficients.
     """
-    _check_order(order)
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
+    _whole(order, "dfa order", 1, DataError)
+    profiles = _profile_rows(profiles)
     rows, n = profiles.shape
     scales = _check_scales(scales, n, order + 2)
 
@@ -357,6 +346,14 @@ def dfa_fluctuation_matrix(
     return out
 
 
+def _profile_rows(profiles) -> np.ndarray:
+    """1-d or 2-d integer or float ``profiles`` as 2-d float64, else a DataError."""
+    profiles = _numbers(profiles, "profiles must be integers or floats")
+    if profiles.ndim > 2:
+        raise DataError("profiles must be a 1-d or 2-d array")
+    return np.atleast_2d(profiles.astype(np.float64, copy=False))
+
+
 def _check_scales(scales, n: int, min_scale: int) -> np.ndarray:
     """``scales`` as int64, checked as a kernel's box sizes on n points.
 
@@ -365,9 +362,8 @@ def _check_scales(scales, n: int, min_scale: int) -> np.ndarray:
     strictly increasing array, and a ScaleRangeError unless it runs from
     at least ``min_scale`` to at most n.
     """
-    given = np.asarray(scales)
-    numeric = given.dtype.kind in "iuf"
-    if not (numeric and np.all(np.isfinite(given) & (given == np.round(given)))):
+    given = _numbers(scales, "scales must be whole numbers")
+    if not np.all(np.isfinite(given) & (given == np.round(given))):
         raise DataError("scales must be whole numbers")
     if given.ndim != 1 or len(given) == 0 or np.any(given[1:] <= given[:-1]):
         raise DataError("scales must be a nonempty, strictly increasing 1-d array")

@@ -34,7 +34,7 @@ from .shuffletest import (
     efficiency_test,
     worker_map,
 )
-from .timeseries import ReturnSeries
+from .timeseries import ReturnSeries, _whole
 
 @dataclass(frozen=True)
 class WindowResult:
@@ -62,8 +62,8 @@ def window_result(
     :func:`rolling_analysis` bit-exactly.  A WfeError of the test names
     the window's first and last dates.
     """
-    if start < 0:
-        raise ConfigError(f"window start must be >= 0, got {start}")
+    _whole(start, "window start", 0)
+    _check_shuffle_args(n_shuffles, seed)
     with _labelled(f"{window.dates[0]}..{window.dates[-1]}"):
         _, _, fit = estimate(window, est, "auto")
         res = efficiency_test(
@@ -79,9 +79,9 @@ def window_result(
 
 def _check_rolling_args(window_size: int, step: int, n_shuffles: int, seed: int) -> None:
     """Reject a window, step, shuffle count or seed that no run could use."""
-    if step < 1:
-        raise ConfigError(f"step must be >= 1, got {step}")
+    _whole(step, "step", 1)
     _check_shuffle_args(n_shuffles, seed)
+    _whole(window_size, "window_size", 0)
     try:
         default_scales(window_size)
     except InsufficientDataError as exc:

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detrend import Estimator, _check_scales, default_scales, fluctuation
 from .errors import ConfigError, DataError, DegenerateInputError
-from .timeseries import ReturnSeries, profile
+from .timeseries import ReturnSeries, _numbers, _whole, profile
 
 FIT_WINDOW = 15
 
@@ -78,7 +78,8 @@ def fit_power_law(
     row ``f``; the fit adds the stderr from the rss and the spread of
     ln s over the window.  No usable window is a DegenerateInputError.
     """
-    (lo,), (slope,), (rss,) = detect_scaling_range(np.asarray(f)[None], scales, window_len)
+    # [f] is the one-row f_matrix; detect_scaling_range converts and checks it
+    (lo,), (slope,), (rss,) = detect_scaling_range([f], scales, window_len)
     if lo < 0:
         raise DegenerateInputError(
             f"F(s) is 0 or not finite in every window of {window_len} grid points"
@@ -111,14 +112,11 @@ def detect_scaling_range(
     integer or float, or not 2-d with one column per scale, is a
     DataError.
     """
-    f_matrix = np.asarray(f_matrix)
-    if f_matrix.dtype.kind not in "iuf":
-        raise DataError("f_matrix values must be integers or floats")
+    f_matrix = _numbers(f_matrix, "f_matrix values must be integers or floats")
     scales = _check_scales(scales, np.inf, 1)
     if f_matrix.ndim != 2 or f_matrix.shape[1] != len(scales):
         raise DataError("f_matrix must be 2-d with one column per scale")
-    if window_len < 2:
-        raise ConfigError(f"window_len must be >= 2, got {window_len}")
+    _whole(window_len, "window_len", 2)
     if window_len > len(scales):
         raise ConfigError(
             f"window_len {window_len} exceeds the {len(scales)}-point scale grid"
@@ -145,7 +143,7 @@ def estimate(
     ``range_policy`` ``"full"`` is the one window of the whole grid, and
     ``"auto"`` the minimal-residual window of ``FIT_WINDOW`` grid points.
     """
-    if range_policy not in RANGE_POLICIES:
+    if not isinstance(range_policy, str) or range_policy not in RANGE_POLICIES:
         raise DataError(f"range_policy must be one of {RANGE_POLICIES}")
     scales = default_scales(len(r))
     f = fluctuation(profile(r.values), scales, est)

@@ -37,7 +37,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from numbers import Integral
 from typing import Callable, Iterator
 
 import numpy as np
@@ -46,7 +45,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .detrend import Estimator, _check_scales, default_scales
 from .errors import ConfigError, DataError, EstimationError, InsufficientDataError
 from .scaling import ScalingFit, detect_scaling_range
-from .timeseries import ReturnSeries, _check_row, _readonly
+from .timeseries import ReturnSeries, _check_row, _numbers, _readonly, _real, _whole
 
 DEFAULT_SEED = 42
 SIGNIFICANCE_LEVEL = 0.01
@@ -126,6 +125,8 @@ def replicate_rng(
     base_seed: int, index: int, prefix: tuple[int, ...] = ()
 ) -> np.random.Generator:
     """Generator for one replicate; depends only on (base_seed, prefix, index)."""
+    _whole(index, "replicate index", 0)
+    _check_shuffle_args(index + 1, base_seed, prefix)  # replicates 0 .. index
     seq = np.random.SeedSequence(base_seed, spawn_key=(*prefix, index))
     return np.random.Generator(np.random.PCG64(seq))
 
@@ -202,9 +203,8 @@ def _replicate_rngs(
 
 def two_tailed_p(h: float, ensemble: np.ndarray) -> float:
     """Fraction of the ensemble strictly farther from its mean than h is."""
-    e = np.asarray(ensemble, dtype=np.float64)
-    if len(e) == 0:
-        raise DataError("ensemble must be nonempty")
+    _real(h, "h")
+    e = _check_row(ensemble, "ensemble")
     mean = float(e.mean())
     return float(np.count_nonzero(np.abs(e - mean) > abs(h - mean)) / len(e))
 
@@ -219,7 +219,8 @@ def worker_map(workers: int, jobs: int) -> Iterator[Callable[..., Iterator]]:
     the block and shuts down when the block ends.  Results never depend
     on the worker count.
     """
-    _check_workers(workers)
+    _whole(workers, "worker count", 1)
+    _whole(jobs, "job count", 0)
     workers = min(workers, jobs)
     if workers < 2:
         yield map
@@ -228,20 +229,14 @@ def worker_map(workers: int, jobs: int) -> Iterator[Callable[..., Iterator]]:
         yield pool.map
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-
-
-def _check_shuffle_args(n_shuffles: int, seed: int) -> None:
-    """Reject a shuffle count or seed that no run could use, before any work."""
-    for name, value in (("n_shuffles", n_shuffles), ("seed", seed)):
-        if not isinstance(value, Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if n_shuffles < 1:
-        raise ConfigError(f"n_shuffles must be >= 1, got {n_shuffles}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+def _check_shuffle_args(n_shuffles: int, seed: int, prefix: tuple[int, ...] = ()) -> None:
+    """Reject a shuffle count, seed or spawn prefix that no run could use, before any work."""
+    _whole(n_shuffles, "n_shuffles", 1)
+    _whole(seed, "seed", 0)
+    if not isinstance(prefix, tuple):
+        raise ConfigError(f"spawn_prefix must be a tuple, got {prefix!r}")
+    for key in prefix:
+        _whole(key, "spawn_prefix entry", 0)
 
 
 def _chunk_size(n: int) -> int:
@@ -288,11 +283,11 @@ def shuffle_exponents(
     """Exponents of n_replicates shuffled series over a fixed range.
 
     A replicate count that is not an integer >= 1, a seed that is not
-    an integer >= 0, a ``values`` array that is not 1-d, nonempty and
-    finite, a ``scales`` array that is not whole, 1-d, nonempty,
-    strictly increasing and at most the series length, or an
-    ``s_range`` that is not a pair of numbers fails before any
-    replicate is drawn; the kernel checks the method minimum.  Only the
+    an integer >= 0, a ``spawn_prefix`` that is not a tuple of such, a
+    ``values`` array that is not 1-d, nonempty and finite, a ``scales``
+    array that is not whole, 1-d, nonempty, strictly increasing and at
+    most the series length, or an ``s_range`` that is not a pair of
+    numbers fails before any replicate is drawn; the kernel checks the method minimum.  Only the
     grid scales inside the inclusive ``s_range`` are computed, and a
     range that holds fewer than two of them is an
     InsufficientDataError before any draw.  The chunks of
@@ -304,15 +299,12 @@ def shuffle_exponents(
     least one; the count runs to the last redraw taken, and too few
     finite redraws raise ``EstimationError``.
     """
-    _check_shuffle_args(n_replicates, base_seed)
+    _check_shuffle_args(n_replicates, base_seed, spawn_prefix)
     values = _check_row(values, "series")
     scales = _check_scales(scales, len(values), 1)
-    try:
-        pair = np.asarray(s_range)
-    except ValueError:  # ragged, such as ((10,), 50)
-        pair = np.empty(0)
-    if pair.shape != (2,) or pair.dtype.kind not in "iuf":
-        raise DataError(f"s_range must be a pair of numbers, got {s_range!r}")
+    not_a_pair = f"s_range must be a pair of numbers, got {s_range!r}"
+    if _numbers(s_range, not_a_pair).shape != (2,):
+        raise DataError(not_a_pair)
     lo, hi = s_range
     fitted = scales[(scales >= lo) & (scales <= hi)]
     if len(fitted) < 2:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SynthesisError
-from .timeseries import PriceSeries
+from .timeseries import PriceSeries, _check_row, _numbers, _real, _whole
 
 EIGENVALUE_TOL = 1e-9
 
@@ -36,21 +36,29 @@ class FgnSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise DataError(f"hurst must be in (0, 1), got {self.hurst}")
-        if self.n < 2:
-            raise DataError(f"n must be >= 2, got {self.n}")
-        if not 0.0 < self.sigma < np.inf:
-            raise DataError(f"sigma must be finite and > 0, got {self.sigma}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+        _check_fgn(self.hurst, self.sigma)
+        _whole(self.n, "n", 2, DataError)
+        _whole(self.seed, "seed", 0, DataError)
+
+
+def _check_fgn(hurst: float, sigma: float) -> None:
+    """A DataError unless hurst is a real in (0, 1) and sigma a finite real > 0."""
+    _real(hurst, "hurst")
+    if not 0.0 < hurst < 1.0:
+        raise DataError(f"hurst must be in (0, 1), got {hurst}")
+    _real(sigma, "sigma")
+    if not 0.0 < sigma < np.inf:
+        raise DataError(f"sigma must be finite and > 0, got {sigma}")
 
 
 def fgn_autocovariance(
     lags: np.ndarray | int, hurst: float, sigma: float = 1.0
 ) -> np.ndarray:
-    """Population autocovariance gamma(k) of fGn at the given lags."""
-    k = np.abs(np.asarray(lags, dtype=np.float64))
+    """Population autocovariance gamma(k) of fGn at the given finite lags."""
+    _check_fgn(hurst, sigma)
+    k = np.abs(_numbers(lags, "lags must be integers or floats").astype(np.float64))
+    if not np.all(np.isfinite(k)):
+        raise DataError("lags must be finite")
     two_h = 2.0 * hurst
     return 0.5 * sigma**2 * (
         np.abs(k + 1) ** two_h - 2.0 * k**two_h + np.abs(k - 1) ** two_h
@@ -100,7 +108,7 @@ def synthetic_prices(values: np.ndarray) -> PriceSeries:
     consecutive calendar days from 2000-01-03, so the generated series
     feeds the full ingestion pipeline end to end.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _check_row(values, "series")
     prices = np.empty(len(values) + 1, dtype=np.float64)
     prices[0] = 100.0
     prices[1:] = 100.0 * np.exp(np.cumsum(values))

@@ -14,12 +14,13 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from numbers import Integral, Real
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, FormatError, InsufficientDataError
+from .errors import ConfigError, DataError, FormatError, InsufficientDataError
 
 # Default event cut dates (overridable wherever they are used).  The Gulf
 # War and NAFTA dates follow the historical record: 1990-08-02 and
@@ -45,12 +46,35 @@ def _readonly(a, dtype) -> np.ndarray:
     return a
 
 
+def _whole(value, name: str, minimum: int, error=ConfigError) -> None:
+    """An ``error`` unless ``value`` is an integer >= ``minimum``; a bool is not one."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def _real(value, name: str) -> None:
+    """A DataError unless ``value`` is a real number other than a ``bool``."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+
+
+def _numbers(values, message: str) -> np.ndarray:
+    """``values`` as an integer or float array, else ``DataError(message)``."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged, such as [[1, 2], [3]]
+        raise DataError(message) from None
+    if values.dtype.kind not in "iuf":
+        raise DataError(message)
+    return values
+
+
 def _check_row(values, name: str) -> np.ndarray:
     """``values`` as float64; a DataError naming ``name`` unless integer
     or float (checked before the cast), 1-d, nonempty and finite."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuf":
-        raise DataError(f"{name} values must be integers or floats")
+    values = _numbers(values, f"{name} values must be integers or floats")
     values = values.astype(np.float64, copy=False)
     if values.ndim != 1 or len(values) == 0:
         raise DataError(f"{name} must be a nonempty 1-d array")
@@ -62,11 +86,15 @@ def _check_row(values, name: str) -> np.ndarray:
 def _freeze_dated(series, field: str) -> np.ndarray:
     """Freeze ``series.dates`` and ``series.<field>``; return the latter.
 
-    Checks what every dated series needs: equal-length 1-d arrays and
-    strictly increasing dates.
+    Checks what every dated series needs: days as dates, integer or
+    float values, equal-length 1-d arrays and strictly increasing dates.
     """
-    dates = _readonly(series.dates, "datetime64[D]")
-    values = _readonly(getattr(series, field), np.float64)
+    try:
+        dates = _readonly(series.dates, "datetime64[D]")
+    except ValueError:
+        raise DataError("dates must be calendar days") from None
+    given = _numbers(getattr(series, field), f"{field} must be integers or floats")
+    values = _readonly(given, np.float64)
     object.__setattr__(series, "dates", dates)
     object.__setattr__(series, field, values)
     if dates.shape != values.shape or dates.ndim != 1:
@@ -262,6 +290,8 @@ def split_by_dates(
     strictly increasing and strictly inside the series' date span.
     Concatenating the segments reproduces the input exactly.
     """
+    if not np.iterable(cut_dates):
+        raise DataError(f"cut dates must be a sequence, got {cut_dates!r}")
     cut_dates = list(cut_dates)
     if not cut_dates:
         return [p]

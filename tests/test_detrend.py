@@ -801,6 +801,8 @@ class TestEstimator:
         ("dfa", 1.5, "dfa order must be an integer, got 1.5"),
         ("dfa", 0, "dfa order must be >= 1, got 0"),
         ("dfa", "2", "dfa order must be an integer, got '2'"),
+        ("dfa", True, "dfa order must be an integer, got True"),
+        ("dma", True, "theta must be a real number, got True"),
     ]
 
     @pytest.mark.parametrize("kind,value,message", BAD_PARAMETERS)

@@ -183,11 +183,17 @@ class TestRollingAnalysis:
             rolling_analysis(r, window_size=250, step=0, n_shuffles=5)
         with pytest.raises(ConfigError):
             rolling_analysis(r, window_size=250, n_shuffles=0)
+        with pytest.raises(ConfigError, match=r"^step must be an integer, got 2\.5$"):
+            rolling_analysis(r, window_size=250, step=2.5, n_shuffles=5)
+        with pytest.raises(ConfigError, match=r"^window_size must be an integer, got 250\.5$"):
+            rolling_analysis(r, window_size=250.5, n_shuffles=5)
 
     def test_window_result_bounds_checked(self):
         r = make_returns(300)
         with pytest.raises(ConfigError):
             window_result(window_of(r, 0, 250), -1, Estimator.dfa(), n_shuffles=5)
+        with pytest.raises(ConfigError, match=r"^window start must be an integer, got 1\.5$"):
+            window_result(window_of(r, 0, 250), 1.5, Estimator.dfa(), n_shuffles=5)
 
     def test_one_window_result_call_per_window(self, monkeypatch):
         # every window runs through the public window_result, whose span

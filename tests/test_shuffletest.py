@@ -327,8 +327,11 @@ class TestShuffleExponents:
         [(10.5, 1, ConfigError, "n_shuffles must be an integer, got 10.5"),
          (10, 1.5, ConfigError, "seed must be an integer, got 1.5"),
          ("10", 1, ConfigError, "n_shuffles must be an integer, got '10'"),
-         (10, None, ConfigError, "seed must be an integer, got None")],
-        ids=["fractional-count", "fractional-seed", "string-count", "no-seed"],
+         (10, None, ConfigError, "seed must be an integer, got None"),
+         (True, 1, ConfigError, "n_shuffles must be an integer, got True"),
+         (10, True, ConfigError, "seed must be an integer, got True")],
+        ids=["fractional-count", "fractional-seed", "string-count", "no-seed", "bool-count",
+             "bool-seed"],
     )
     def test_non_integer_count_or_seed_fails_before_any_draw(
         self, monkeypatch, n_replicates, seed, error, message
