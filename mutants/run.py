@@ -1,13 +1,15 @@
 """Mutant catalogue: break the program on purpose and check that the fast suite notices.
 
-    python3 mutants/run.py [--output PATH]
+    python3 mutants/run.py [--output PATH] [--jobs N]
 
 Each mutant replaces one exact text in one file under ``src``.  For each
 mutant the script copies ``src``, ``tests``, ``data`` and
 ``pyproject.toml`` to a temporary directory (leaving out
 ``tests/test_mutants.py``), applies the mutant there and runs
 ``python -m pytest -x -q -m "not slow" -p no:cacheprovider tests`` on
-the copy.  The checkout itself is never written.
+the copy.  The checkout itself is never written.  ``--jobs N`` (default
+1) runs N mutants at once, each in its own copy; the record lists them
+in catalogue order whatever order they finish in.
 
 The result is one JSON record, on stdout or in ``--output``: for each
 mutant whether the suite caught it (exit status 1) or it survived
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,7 +71,7 @@ MUTANTS = [
     Mutant("nearest-quantiles", "src/wfetest/shuffletest.py",
            'method="linear"', 'method="nearest"'),
     Mutant("twosum-low-word-dropped", "src/wfetest/detrend.py",
-           "            np.add(resid, resid_lo, out=resid)\n", ""),
+           "            np.add(d, lf[s:], out=d)\n            np.subtract(d, lf[:-s], out=d)\n", ""),
     Mutant("redraw-cap-2pct", "src/wfetest/shuffletest.py",
            "max_redraws = max(1, n_replicates // 100)",
            "max_redraws = max(1, n_replicates // 50)"),
@@ -169,6 +172,18 @@ MUTANTS = [
            "    except ValueError:  # ragged", "    except TypeError:  # ragged"),
     Mutant("window-start-unchecked", "src/wfetest/rolling.py",
            '    _whole(start, "window start", 0)\n', ""),
+    # the DMA pass without a per-cell divide, and dates as calendar days
+    Mutant("dma-scale-not-undone", "src/wfetest/detrend.py",
+           "np.sqrt(_row_sum_squares(valid) / (n + 1 - s)) / s",
+           "np.sqrt(_row_sum_squares(valid) / (n + 1 - s))"),
+    Mutant("dma-x-unscaled", "src/wfetest/detrend.py",
+           "np.multiply(xf[past + 1 : past + 1 + size], s, out=wlf[:size])",
+           "np.multiply(xf[past + 1 : past + 1 + size], 1, out=wlf[:size])"),
+    Mutant("float-dates-truncated", "src/wfetest/timeseries.py",
+           'elif raw.dtype.kind not in "iuM":', 'elif raw.dtype.kind not in "iuMfb":'),
+    Mutant("time-of-day-truncated", "src/wfetest/timeseries.py",
+           "    if raw.dtype.kind == \"M\" and raw.dtype != dates.dtype and np.any(dates != raw):\n"
+           "        raise not_days  # a time of day\n", ""),
 ]
 
 
@@ -225,21 +240,26 @@ def run_mutant(m: Mutant) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", help="write the JSON record here instead of stdout")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="mutants run at once, each in its own copy (default 1)")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
 
-    problems = check_catalogue()
+    problems = check_catalogue(ROOT, MUTANTS)
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 2
     results = {}
-    for m in MUTANTS:
-        results[m.name] = run_mutant(m)
-        print(f"{m.name}: {results[m.name]['status']} ({results[m.name]['seconds']} s)",
-              file=sys.stderr)
+    # each job waits on its own pytest process, so threads are enough
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        for m, record in zip(MUTANTS, pool.map(run_mutant, MUTANTS)):
+            results[m.name] = record
+            print(f"{m.name}: {record['status']} ({record['seconds']} s)", file=sys.stderr)
     counts = {s: sum(r["status"] == s for r in results.values())
               for s in ("caught", "survived", "error")}
-    text = json.dumps({"command": ["python", *PYTEST], "counts": counts, "mutants": results},
-                      indent=2) + "\n"
+    text = json.dumps({"command": ["python", *PYTEST], "jobs": args.jobs, "counts": counts,
+                       "mutants": results}, indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

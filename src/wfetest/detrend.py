@@ -17,7 +17,9 @@ window sums are differences of a prefix sum held as a float64 pair
 hi + lo: hi is the running float64 sum and lo the running sum of its
 exact rounding errors (TwoSum), so the prefix is good to about
 n^2 * 2^-106 in IEEE double alone.  Each block of rows is processed as
-flat 1-D arrays, one pass per scale.
+flat 1-D arrays, one pass per scale, and no cell is divided: a pass
+forms s times each residual, the window sum minus s * x, and the 1/s
+is applied once per row and scale, to the root mean square.
 
 DFA fits a least-squares polynomial of a given order in non-overlapping
 boxes of length s, covering the series once from the first point and
@@ -189,14 +191,21 @@ def dma_fluctuation_matrix(
     lo, the per-row running sum of each step's TwoSum error
     e_i = (hi[i-1] - (hi[i] - b)) + (x[i] - b) with b = hi[i] - hi[i-1]
     (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)).  hi + lo
-    is the prefix sum to about n^2 * 2^-106 relative, and a window sum is
-    (hi[s:] - hi[:-s]) + (lo[s:] - lo[:-s]).
+    is the prefix sum to about n^2 * 2^-106 relative.
 
-    Every per-scale pass runs on flat 1-D views of the block.  Positions
-    whose window straddles a row end are computed but never read: the
-    sum of squares reads only each row's n + 1 - s valid positions, so a
-    row's F never depends on its neighbours.  That sum is
-    :func:`_row_sum_squares` of the valid positions.
+    Every per-scale pass runs on flat 1-D views of the block, in this
+    order: the window sum d = hi[s:] - hi[:-s] into ``win``, then
+    lo[s:] added and lo[:-s] subtracted in place; s * x into ``win_lo``
+    by one multiply; and d - s * x in place, which is s times the
+    residual.  Positions whose window straddles a row end are computed
+    but never read: the sum of squares reads only each row's n + 1 - s
+    valid positions, so a row's F never depends on its neighbours.  F is
+    sqrt(:func:`_row_sum_squares` of the valid positions / (n + 1 - s)),
+    divided by s once per row and scale.  Dividing every cell by s cost
+    about three times the multiply, and multiplying by fl(1/s) instead
+    would bias every window of a scale the same way.  Summing the squares
+    of s * residual overflows sooner, by a factor of s^2, which
+    :func:`fluctuation` reports as a DataError like any non-finite F.
 
     A single float64 prefix would be off by about eps * |prefix| in every
     window: on a ramp of slope 0.7318 from 1e4 (n = 7,400) with 1e-3
@@ -229,13 +238,14 @@ def dma_fluctuation_matrix(
             s = int(s)
             past, _ = _window_split(s, theta)
             size = len(hf) - s
-            resid = np.subtract(hf[s:], hf[:-s], out=wf[:size])
-            resid_lo = np.subtract(lf[s:], lf[:-s], out=wlf[:size])
-            np.add(resid, resid_lo, out=resid)
-            np.divide(resid, s, out=resid)
-            np.subtract(xf[past + 1 : past + 1 + size], resid, out=resid)
+            # s times the residual: the window sum minus s * x, undivided
+            d = np.subtract(hf[s:], hf[:-s], out=wf[:size])
+            np.add(d, lf[s:], out=d)
+            np.subtract(d, lf[:-s], out=d)
+            sx = np.multiply(xf[past + 1 : past + 1 + size], s, out=wlf[:size])
+            np.subtract(d, sx, out=d)
             valid = win[:m, : n + 1 - s]
-            out[r0 : r0 + m, j] = np.sqrt(_row_sum_squares(valid) / (n + 1 - s))
+            out[r0 : r0 + m, j] = np.sqrt(_row_sum_squares(valid) / (n + 1 - s)) / s
     return out
 
 

@@ -88,11 +88,22 @@ def _freeze_dated(series, field: str) -> np.ndarray:
 
     Checks what every dated series needs: days as dates, integer or
     float values, equal-length 1-d arrays and strictly increasing dates.
+    Dates are day numbers, datetime64 values, ISO strings or date
+    objects; a float or bool array, or a date with a time of day, is not
+    a calendar day and is never truncated to one.
     """
+    not_days = DataError("dates must be calendar days")
     try:
-        dates = _readonly(series.dates, "datetime64[D]")
+        raw = np.asarray(series.dates)
+        if raw.dtype.kind in "OSU":  # strings and date objects keep their unit
+            raw = raw.astype("datetime64")
+        elif raw.dtype.kind not in "iuM":  # numpy would truncate a float to a day
+            raise not_days
+        dates = _readonly(raw, "datetime64[D]")
     except ValueError:
-        raise DataError("dates must be calendar days") from None
+        raise not_days from None
+    if raw.dtype.kind == "M" and raw.dtype != dates.dtype and np.any(dates != raw):
+        raise not_days  # a time of day
     given = _numbers(getattr(series, field), f"{field} must be integers or floats")
     values = _readonly(given, np.float64)
     object.__setattr__(series, "dates", dates)

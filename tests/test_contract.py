@@ -5,9 +5,11 @@ of a public function or constructor of ``detrend``, ``scaling``,
 ``shuffletest``, ``rolling``, ``timeseries`` or ``synth``: a call that
 puts a value there with valid arguments everywhere else, and one valid
 value.  Every value of POOL must either succeed or raise a WfeError.  A
-whole-number or string-choice parameter rejects every value of POOL, and
-a real one rejects True.  A function that fits or draws replicates
-makes no kernel call for an argument it rejects.
+whole-number, string-choice or dates parameter rejects every value of
+POOL, and a real one rejects True.  A dates parameter also rejects each
+value of NOT_DAYS, dates of the right length that are not calendar
+days.  A function that fits or draws replicates makes no kernel call for
+an argument it rejects.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from wfetest.detrend import (
     dma_fluctuation_matrix,
     fluctuation,
 )
-from wfetest.errors import WfeError
+from wfetest.errors import DataError, WfeError
 from wfetest.rolling import rolling_analysis, window_result
 from wfetest.scaling import detect_scaling_range, estimate, fit_power_law
 from wfetest.shuffletest import (
@@ -49,7 +51,13 @@ POOL = [
     ("ragged", [[1, 2], [3]]),
 ]
 
-WHOLE, REAL, CHOICE, ARRAY = "whole", "real", "choice", "array"
+# made from a valid dates array: numpy would truncate each to whole days
+NOT_DAYS = [
+    ("float-days", lambda days: days.astype(np.int64) + 0.5),
+    ("time-of-day", lambda days: days.astype("datetime64[h]") + np.timedelta64(12, "h")),
+]
+
+WHOLE, REAL, CHOICE, ARRAY, DATES = "whole", "real", "choice", "array", "dates"
 
 # the functions that fit or draw: a rejected argument makes no kernel call
 CHECKED_FIRST = {"estimate", "shuffle_exponents", "efficiency_test", "window_result",
@@ -84,9 +92,9 @@ def _worker_map(workers, jobs):
 
 # (function.parameter, kind, call with the value, a valid value)
 PARAMETERS = [
-    ("PriceSeries.dates", ARRAY, lambda v: PriceSeries(v, P.prices), P.dates),
+    ("PriceSeries.dates", DATES, lambda v: PriceSeries(v, P.prices), P.dates),
     ("PriceSeries.prices", ARRAY, lambda v: PriceSeries(P.dates, v), P.prices),
-    ("ReturnSeries.dates", ARRAY, lambda v: ReturnSeries(v, R.values), R.dates),
+    ("ReturnSeries.dates", DATES, lambda v: ReturnSeries(v, R.values), R.dates),
     ("ReturnSeries.values", ARRAY, lambda v: ReturnSeries(R.dates, v), R.values),
     ("profile.values", ARRAY, profile, R.values),
     ("split_by_dates.cut_dates", ARRAY, lambda v: split_by_dates(P, v), ["2000-06-01"]),
@@ -186,3 +194,12 @@ def test_bad_value_runs_or_is_a_wfe_error(monkeypatch, name, kind, call, valid, 
         assert kind == ARRAY or (kind == REAL and value is not True), (
             f"{name} accepted {value!r}"
         )
+
+
+@pytest.mark.parametrize("make", [m for _, m in NOT_DAYS], ids=[k for k, _ in NOT_DAYS])
+@pytest.mark.parametrize("name, kind, call, valid",
+                         [row for row in PARAMETERS if row[1] == DATES],
+                         ids=[row[0] for row in PARAMETERS if row[1] == DATES])
+def test_dates_that_are_not_calendar_days_are_rejected(name, kind, call, valid, make):
+    with pytest.raises(DataError, match="^dates must be calendar days$"):
+        call(make(valid))

@@ -203,6 +203,30 @@ def dma_einsum_reference(profiles, scales, theta):
         return dma_fluctuation_matrix(profiles, scales, theta)
 
 
+def dma_divide_reference(profiles, scales, theta):
+    """The DMA kernel's arithmetic as it was when it divided every cell.
+
+    One row at a time: the TwoSum prefix hi + lo, each window sum
+    (hi[s:] - hi[:-s]) + (lo[s:] - lo[:-s]) divided by s, the residual
+    x - mean, and F the root mean square of the residuals, not scaled.
+    """
+    profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
+    rows, n = profiles.shape
+    out = np.empty((rows, len(scales)), dtype=np.float64)
+    for i, row in enumerate(profiles):
+        x = np.concatenate(([0.0], row))
+        hi = np.cumsum(x)
+        b = hi[1:] - hi[:-1]
+        lo = np.cumsum(np.concatenate(([0.0], (hi[:-1] - (hi[1:] - b)) + (x[1:] - b))))
+        for j, s in enumerate(scales):
+            s = int(s)
+            past, _ = _window_split(s, theta)
+            mean = ((hi[s:] - hi[:-s]) + (lo[s:] - lo[:-s])) / s
+            resid = x[past + 1 : past + 1 + len(mean)] - mean
+            out[i, j] = math.sqrt(_row_sum_squares(resid[None])[0] / (n + 1 - s))
+    return out
+
+
 def dma_longdouble_reference(prof, scales, theta):
     """DMA in extended precision: prefix, window sums and residuals.
 
@@ -606,9 +630,9 @@ class TestDmaPrecision:
     # A ramp far from zero makes the prefix sums reach about 1e8, so a
     # float64 prefix loses about eps * 1e8 in every window sum.  Centred
     # windows cancel the ramp, leaving residuals of the noise's size, so
-    # CDMA shows the loss most.  Longdouble-prefix errors (measured) vs a
-    # float64 prefix: CDMA 1.8e-11 vs 6.5e-9 (noise 1e-3) and 2.2e-8 vs
-    # 5.3e-6 (noise 1e-6); BDMA and FDMA at most 4.4e-15 vs 4.6e-12.
+    # CDMA shows the loss most.  Errors of this kernel (measured) vs a
+    # float64 prefix: CDMA 3.2e-11 vs 6.5e-9 (noise 1e-3) and 2.6e-8 vs
+    # 5.3e-6 (noise 1e-6); BDMA and FDMA at most 8.1e-15 vs 4.6e-12.
     @pytest.mark.parametrize(
         "theta, noise, gate",
         [(0.5, 1e-3, 1e-10), (0.5, 1e-6, 1e-7), (0.0, 1e-3, 1e-13),
@@ -618,8 +642,8 @@ class TestDmaPrecision:
         assert self.ramp_error(self.N, theta, noise) <= gate
 
     # The same ramp at segment length; the prefix reaches about 1.5e7.
-    # Measured errors with the longdouble prefix: CDMA 3.7e-11 (noise
-    # 1e-3) and 3.7e-8 (noise 1e-6); BDMA and FDMA at most 6.6e-15.
+    # Measured errors of this kernel: CDMA 4.4e-11 (noise 1e-3) and
+    # 4.8e-8 (noise 1e-6); BDMA and FDMA at most 6.3e-15.
     @pytest.mark.parametrize(
         "theta, noise, gate",
         [(0.5, 1e-3, 1e-10), (0.5, 1e-6, 1e-7), (0.0, 1e-3, 1e-13),
@@ -635,6 +659,19 @@ class TestDmaPrecision:
         scales = default_scales(n)
         fast = dma_fluctuation_matrix(ramp, scales, theta)
         return max_relative_error(fast, dma_longdouble_reference(ramp, scales, theta))
+
+    # The kernel forms s times each residual and divides F by s once, where
+    # it used to divide every window sum by s; F moves in the last bits
+    # only (at most 4 ulp measured on these rows).  n runs over the
+    # lengths of the paper's Gulf/Iraq segments, with rows in three blocks.
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1455, 2649, 3294])
+    def test_within_a_few_ulp_of_dividing_every_cell(self, n, theta):
+        rows = shuffled_bridge_rows(n, count=2 * (BLOCK_CELLS // 2 // (n + 1)) + 3)
+        scales = default_scales(n)
+        fast = dma_fluctuation_matrix(rows, scales, theta)
+        ref = dma_divide_reference(rows, scales, theta)
+        assert np.all(np.abs(fast - ref) <= 6 * np.spacing(ref))
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     def test_rows_across_blocks_equal_single_rows(self, theta):
@@ -916,6 +953,14 @@ class TestSingleSeriesWrappers:
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(DataError, match="^fluctuation values must be finite$"):
                 fluctuation(y, [4, 8], Estimator.dfa())
+
+    def test_overflowing_dma_f_is_data_error(self):
+        # the DMA kernel squares s times each residual, which overflows
+        # s^2 sooner than the residual itself; the error is the same
+        y = np.cumsum(np.full(100, 1e152))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DataError, match="^fluctuation values must be finite$"):
+                fluctuation(y, [4, 8], Estimator.dma(0.0))
 
     def test_batch_rows_equal_single_rows(self):
         rng = np.random.default_rng(31)

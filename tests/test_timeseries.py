@@ -231,6 +231,32 @@ class TestSeriesTypes:
         with pytest.raises(DataError, match="^dates must be strictly increasing$"):
             kind(dates, np.array([1.0, 2.0]))
 
+    # fractional day numbers and datetime64 hours are in test_contract.py
+    @pytest.mark.parametrize("kind", [PriceSeries, ReturnSeries])
+    @pytest.mark.parametrize(
+        "days",
+        [np.array([1.0, 2.0, 3.0]), np.array([False, True, True]),
+         ["2000-01-01T12:00", "2000-01-02", "2000-01-03"],
+         [datetime(2000, 1, 1, 12), datetime(2000, 1, 2), datetime(2000, 1, 3)]],
+        ids=["whole-floats", "bools", "iso-with-time", "datetimes"],
+    )
+    def test_dates_are_calendar_days_never_truncated(self, kind, days):
+        with pytest.raises(DataError, match="^dates must be calendar days$"):
+            kind(days, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize(
+        "days",
+        [np.array([10957, 10958, 10959]),
+         np.array(["2000-01-01T00", "2000-01-02T00", "2000-01-03T00"], dtype="datetime64[h]"),
+         ["2000-01-01", "2000-01-02", "2000-01-03"],
+         [date(2000, 1, 1), datetime(2000, 1, 2), date(2000, 1, 3)]],
+        ids=["day-numbers", "datetime64-midnights", "iso", "dates"],
+    )
+    def test_whole_days_in_any_form_accepted(self, days):
+        series = ReturnSeries(days, np.array([1.0, 2.0, 3.0]))
+        assert series.dates.dtype == np.dtype("datetime64[D]")
+        assert np.array_equal(series.dates, day_range(3, "2000-01-01"))
+
     def test_prices_must_be_positive_finite(self):
         dates = day_range(2)
         with pytest.raises(DataError):
