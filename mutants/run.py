@@ -180,10 +180,27 @@ MUTANTS = [
            "np.multiply(xf[past + 1 : past + 1 + size], s, out=wlf[:size])",
            "np.multiply(xf[past + 1 : past + 1 + size], 1, out=wlf[:size])"),
     Mutant("float-dates-truncated", "src/wfetest/timeseries.py",
-           'elif raw.dtype.kind not in "iuM":', 'elif raw.dtype.kind not in "iuMfb":'),
+           'elif raw.dtype.kind in "iu":  # day numbers', 'elif raw.dtype.kind in "iufb":  # day numbers'),
     Mutant("time-of-day-truncated", "src/wfetest/timeseries.py",
-           "    if raw.dtype.kind == \"M\" and raw.dtype != dates.dtype and np.any(dates != raw):\n"
-           "        raise not_days  # a time of day\n", ""),
+           "\n            or raw.dtype != days.dtype and np.any(days != raw)", ""),
+    # one calendar-day rule, and the rejections no other test ran
+    Mutant("month-taken-as-day", "src/wfetest/timeseries.py",
+           'np.datetime_data(raw.dtype)[0] in ("Y", "M", "W") or ', ""),
+    Mutant("nat-taken-as-day", "src/wfetest/timeseries.py",
+           " or np.any(np.isnat(days))", ""),
+    Mutant("cut-bypasses-day-rule", "src/wfetest/timeseries.py",
+           "        day = _days(c, bad)\n", "        day = np.datetime64(c)\n"),
+    Mutant("return-series-empty-unchecked", "src/wfetest/timeseries.py",
+           '        if len(values) == 0:\n            raise InsufficientDataError("return series is empty")\n',
+           ""),
+    Mutant("returns-finite-unchecked", "src/wfetest/timeseries.py",
+           '        if not np.all(np.isfinite(values)):\n            raise DataError("returns must be finite")\n',
+           ""),
+    Mutant("profiles-3d-unchecked", "src/wfetest/detrend.py",
+           '    if profiles.ndim > 2:\n        raise DataError("profiles must be a 1-d or 2-d array")\n',
+           ""),
+    Mutant("tmp-left-behind", "src/wfetest/cli.py",
+           "    finally:\n        if os.path.exists(tmp):\n            os.unlink(tmp)\n", ""),
 ]
 
 

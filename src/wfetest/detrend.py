@@ -74,8 +74,8 @@ DMA_MIN_SCALE = 3
 # profile cells (512 kB of float64), and each block stays in cache
 # while it runs through every scale.  DFA blocks hold this many cells
 # and reuse a residual buffer of the same size; DMA blocks hold half,
-# since DMA keeps six float64 arrays of a block's size (about 1.5 MB),
-# which measured best of 2^14 to 2^16 cells at n = 1,000 to 7,400.
+# since DMA keeps five float64 arrays of a block's size (about 1.25 MB).
+# This size won a 2^14 to 2^16 sweep at n = 1,000 to 7,400 (DMA then kept six).
 BLOCK_CELLS = 1 << 16
 
 # DFA boxes of at most this many points are detrended as ``boxes @ P``:

@@ -83,27 +83,36 @@ def _check_row(values, name: str) -> np.ndarray:
     return values
 
 
+def _days(value, error: DataError) -> np.ndarray:
+    """``value`` as datetime64[D] of the same shape, else ``error``.
+
+    The one calendar-day rule: day numbers, and datetime64 values, ISO
+    strings and date or datetime objects at midnight, are days; a float
+    or bool, a month, year or week, a time of day or NaT is never one."""
+    try:
+        raw = np.asarray(value)
+        if raw.dtype.kind in "OSU":  # strings and date objects keep their unit
+            raw = raw.astype("datetime64")
+        elif raw.dtype.kind in "iu":  # day numbers
+            raw = raw.astype("datetime64[D]")
+        elif raw.dtype.kind != "M":  # numpy would truncate a float to a day
+            raise error
+    except ValueError:
+        raise error from None
+    days = raw.astype("datetime64[D]", copy=False)
+    if (np.datetime_data(raw.dtype)[0] in ("Y", "M", "W") or np.any(np.isnat(days))
+            or raw.dtype != days.dtype and np.any(days != raw)):
+        raise error  # a month, year or week, NaT, or a time of day
+    return days
+
+
 def _freeze_dated(series, field: str) -> np.ndarray:
     """Freeze ``series.dates`` and ``series.<field>``; return the latter.
 
-    Checks what every dated series needs: days as dates, integer or
-    float values, equal-length 1-d arrays and strictly increasing dates.
-    Dates are day numbers, datetime64 values, ISO strings or date
-    objects; a float or bool array, or a date with a time of day, is not
-    a calendar day and is never truncated to one.
-    """
-    not_days = DataError("dates must be calendar days")
-    try:
-        raw = np.asarray(series.dates)
-        if raw.dtype.kind in "OSU":  # strings and date objects keep their unit
-            raw = raw.astype("datetime64")
-        elif raw.dtype.kind not in "iuM":  # numpy would truncate a float to a day
-            raise not_days
-        dates = _readonly(raw, "datetime64[D]")
-    except ValueError:
-        raise not_days from None
-    if raw.dtype.kind == "M" and raw.dtype != dates.dtype and np.any(dates != raw):
-        raise not_days  # a time of day
+    Checks calendar days, integer or float values, equal-length 1-d
+    arrays and strictly increasing dates."""
+    dates = _days(series.dates, DataError("dates must be calendar days"))
+    dates = _readonly(dates, "datetime64[D]")
     given = _numbers(getattr(series, field), f"{field} must be integers or floats")
     values = _readonly(given, np.float64)
     object.__setattr__(series, "dates", dates)
@@ -264,18 +273,14 @@ def load_prices(source: str | Path | IO[str] | IO[bytes]) -> LoadedPrices:
         raise FormatError("no parseable price records in input")
 
     records.sort(key=lambda rec: rec[0])
-    # datetime64[D] counts days from 1970-01-01: numpy takes such day
-    # numbers at once, but a few microseconds per ``date`` object
-    days = [r[0].toordinal() - _EPOCH_ORDINAL for r in records]
-    dates = np.array(days, dtype="datetime64[D]")
-    prices = np.array([r[1] for r in records], dtype=np.float64)
-
-    dup_mask = dates[1:] == dates[:-1]
-    if np.any(dup_mask):
-        dups = sorted({str(d) for d in dates[1:][dup_mask]})
+    # dates go in as day numbers from 1970-01-01: numpy takes those at
+    # once, but a few microseconds per ``date`` object
+    days = np.array([r[0].toordinal() - _EPOCH_ORDINAL for r in records])
+    repeated = days[1:] == days[:-1]
+    if np.any(repeated):
+        dups = sorted({str(r[0]) for r, again in zip(records[1:], repeated) if again})
         raise DataError(f"duplicate dates: {', '.join(dups)}")
-
-    return LoadedPrices(PriceSeries(dates, prices), dropped)
+    return LoadedPrices(PriceSeries(days, [r[1] for r in records]), dropped)
 
 
 def log_returns(p: PriceSeries) -> ReturnSeries:
@@ -296,9 +301,9 @@ def split_by_dates(
     """Split into contiguous segments at the given cut dates.
 
     An observation dated before a cut goes to the earlier segment; the
-    cut date itself starts the next one.  Each cut must be a whole day
-    such as ``1990-08-02``, not a month or an hour; cuts must be
-    strictly increasing and strictly inside the series' date span.
+    cut date itself starts the next one.  Each cut is one calendar day,
+    by the rule of series dates (:func:`_days`), such as ``"1990-08-02"``;
+    cuts must be strictly increasing and strictly inside the date span.
     Concatenating the segments reproduces the input exactly.
     """
     if not np.iterable(cut_dates):
@@ -308,14 +313,10 @@ def split_by_dates(
         return [p]
     cuts = np.empty(len(cut_dates), dtype="datetime64[D]")
     for k, c in enumerate(cut_dates):
-        try:
-            day = np.datetime64(c)
-        except ValueError:
-            day = np.datetime64("NaT")
-        if day.dtype != cuts.dtype or np.isnat(day):
-            raise DataError(
-                f"cut date {k + 1} of {len(cuts)} is empty or not a date: {str(c)!r}"
-            )
+        bad = DataError(f"cut date {k + 1} of {len(cuts)} is empty or not a date: {str(c)!r}")
+        day = _days(c, bad)
+        if day.ndim:
+            raise bad
         cuts[k] = day
     if not np.all(cuts[1:] > cuts[:-1]):
         raise DataError("cut dates must be strictly increasing")
@@ -325,8 +326,7 @@ def split_by_dates(
             f"[{p.dates[0]}, {p.dates[-1]}]"
         )
 
-    bounds = [0] + [int(np.searchsorted(p.dates, c, side="left")) for c in cuts]
-    bounds.append(len(p))
+    bounds = [0, *np.searchsorted(p.dates, cuts).tolist(), len(p)]
     segments = []
     for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi - lo < 2:

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,16 @@ def synth_prices(tmp_path, name="prices.csv", n=900, hurst=0.5, seed=9):
     )
     assert code == 0
     return path
+
+
+def quick_run_options(command, prices):
+    """Options, without ``-o``, of a short run of ``command`` on ``prices``."""
+    return {
+        "analyze": ["-i", prices],
+        "test": ["-i", prices, "--n-shuffles", 10],
+        "rolling": ["-i", prices, "--window", 250, "--n-shuffles", 10],
+        "synth": ["--hurst", 0.5],
+    }[command]
 
 
 class TestSynthCommand:
@@ -160,18 +172,32 @@ class TestAnalyzeCommand:
             out = tmp_path / "no" / "such" / "dir" / "t.json"
         else:
             out.mkdir()
-        options = {
-            "analyze": ["-i", prices],
-            "test": ["-i", prices, "--n-shuffles", 10],
-            "rolling": ["-i", prices, "--window", 250, "--n-shuffles", 10],
-            "synth": ["--hurst", 0.5],
-        }[command]
+        options = quick_run_options(command, prices)
         assert run(command, *options, "-o", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and f"'{out}'" in err and ".tmp." not in err
         assert computed == []
         assert not (tmp_path / "no").exists()
         assert not list(tmp_path.rglob("*.tmp.*"))
+
+    @pytest.mark.parametrize("command", ["analyze", "test", "rolling", "synth"])
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, capsys, monkeypatch, command):
+        # the temporary file exists by then, so only the cleanup removes it
+        prices = synth_prices(tmp_path, n=400)
+        capsys.readouterr()
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "t.json"
+        options = quick_run_options(command, prices)
+        assert run(command, *options, "-o", out) == 1
+        err = capsys.readouterr().err.splitlines()[-1]  # after rolling's progress
+        assert err.startswith(f"error: [Errno {errno.EXDEV}] ")
+        assert f"'{out}'" in err and ".tmp." not in err
+        assert not list(tmp_path.rglob("*.tmp.*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, options, message", [
         *(pytest.param(command, options, message, id=f"{name}-{command}")

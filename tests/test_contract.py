@@ -46,15 +46,19 @@ POOL = [
     ("numpy-float", np.float64(1.5)),
     ("0-d", np.array(7.0)),
     ("2-d", np.ones((3, 4))),
+    ("3-d", np.ones((2, 3, 4))),
     ("empty", np.array([])),
     ("object", np.array([1, "a", None], dtype=object)),
     ("ragged", [[1, 2], [3]]),
 ]
 
-# made from a valid dates array: numpy would truncate each to whole days
+# made from a valid dates array: numpy would truncate each to whole days,
+# or take a month as its first day and NaT as a date
 NOT_DAYS = [
     ("float-days", lambda days: days.astype(np.int64) + 0.5),
     ("time-of-day", lambda days: days.astype("datetime64[h]") + np.timedelta64(12, "h")),
+    ("months", lambda days: days.astype("datetime64[M]")),
+    ("nat-first", lambda days: np.concatenate([[np.datetime64("NaT", "D")], days[1:]])),
 ]
 
 WHOLE, REAL, CHOICE, ARRAY, DATES = "whole", "real", "choice", "array", "dates"

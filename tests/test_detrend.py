@@ -808,6 +808,13 @@ class TestCheckScales:
         with pytest.raises(ScaleRangeError):
             dfa_fluctuation_matrix(prof, [4, 10], 3)  # min is order + 2
 
+    @pytest.mark.parametrize("kernel, scales, parameter",
+                             [(dma_fluctuation_matrix, [4, 8], 0.5),
+                              (dfa_fluctuation_matrix, [10, 20], 1)])
+    def test_three_d_profiles_rejected(self, kernel, scales, parameter):
+        with pytest.raises(DataError, match="^profiles must be a 1-d or 2-d array$"):
+            kernel(np.ones((2, 3, 50)), scales, parameter)
+
 
 class TestEstimator:
     def test_tags(self):

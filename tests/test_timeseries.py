@@ -257,6 +257,15 @@ class TestSeriesTypes:
         assert series.dates.dtype == np.dtype("datetime64[D]")
         assert np.array_equal(series.dates, day_range(3, "2000-01-01"))
 
+    def test_empty_return_series(self):
+        with pytest.raises(InsufficientDataError, match="^return series is empty$"):
+            ReturnSeries(np.array([], dtype="datetime64[D]"), np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_returns_must_be_finite(self, bad):
+        with pytest.raises(DataError, match="^returns must be finite$"):
+            ReturnSeries(day_range(3), np.array([0.1, bad, 0.2]))
+
     def test_prices_must_be_positive_finite(self):
         dates = day_range(2)
         with pytest.raises(DataError):
@@ -306,6 +315,50 @@ class TestSeriesTypes:
         assert GULF_WAR == np.datetime64("1990-08-02")
         assert IRAQ_WAR == np.datetime64("2003-03-20")
         assert NAFTA == np.datetime64("1994-01-01")
+
+
+# One value in each form of a date, and the day it names (None: not a
+# day).  A series of that one date and a cut at it must agree.
+DATE_FORMS = [
+    ("iso", "1990-01-16", "1990-01-16"),
+    ("date", date(1990, 1, 16), "1990-01-16"),
+    ("datetime64-day", np.datetime64("1990-01-16", "D"), "1990-01-16"),
+    ("day-number", 7320, "1990-01-16"),
+    ("numpy-day-number", np.int64(7320), "1990-01-16"),
+    ("midnight-datetime", datetime(1990, 1, 16), "1990-01-16"),
+    ("midnight-hour", np.datetime64("1990-01-16T00", "h"), "1990-01-16"),
+    ("iso-midnight", "1990-01-16T00:00", "1990-01-16"),
+    ("noon-hour", np.datetime64("1990-01-16T12", "h"), None),
+    ("noon-datetime", datetime(1990, 1, 16, 12), None),
+    ("iso-noon", "1990-01-16T12:00", None),
+    ("iso-month", "1990-01", None),
+    ("month", np.datetime64("1990-01", "M"), None),
+    ("year", np.datetime64("1990", "Y"), None),
+    ("week", np.datetime64(1045, "W"), None),
+    ("nat-day", np.datetime64("NaT", "D"), None),
+    ("nat-string", "NaT", None),
+    ("int64-min", -2**63, None),
+    ("float", 7320.0, None),
+    ("whole-numpy-float", np.float64(7320.0), None),
+    ("bool", True, None),
+    ("empty", "", None),
+    ("unparseable", "1990-13-01", None),
+    ("none", None, None),
+]
+
+
+@pytest.mark.parametrize("value, day", [f[1:] for f in DATE_FORMS], ids=[f[0] for f in DATE_FORMS])
+def test_series_dates_and_cut_dates_share_one_day_rule(value, day):
+    p = PriceSeries(day_range(30, "1990-01-01"), np.arange(1.0, 31.0))
+    if day is None:
+        with pytest.raises(DataError, match="^dates must be calendar days$"):
+            ReturnSeries([value], [0.1])
+        cut_message = f"^cut date 1 of 1 is empty or not a date: {re.escape(repr(str(value)))}$"
+        with pytest.raises(DataError, match=cut_message):
+            split_by_dates(p, [value])
+    else:
+        assert ReturnSeries([value], [0.1]).dates.tolist() == [date.fromisoformat(day)]
+        assert split_by_dates(p, [value])[1].dates[0] == np.datetime64(day)
 
 
 class TestLogReturns:
@@ -429,6 +482,8 @@ class TestSplitByDates:
             # a cut is a whole day: a month or an hour is not cast to one
             (["1990-08"], "^cut date 1 of 1 is empty or not a date: '1990-08'$"),
             ([p.dates[3], "1990-08-02T12"], "^cut date 2 of 2 is empty or not a date: '1990-08-02T12'$"),
+            # each cut is one day, not a sequence of them
+            ([["1990-01-05"]], re.escape("cut date 1 of 1 is empty or not a date: \"['1990-01-05']\"")),
         ):
             with pytest.raises(DataError, match=message):
                 split_by_dates(p, cuts)
